@@ -107,6 +107,11 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_solve(args, out) -> int:
+    if args.method == "optimal" and args.target != "strict":
+        print(f"error: --target {args.target} applies to --method a6 or "
+              "a5 only; optimal solves to the strict target",
+              file=sys.stderr)
+        return INPUT_ERROR
     try:
         if args.random:
             config = box.random_reachable(args.seed)

@@ -10,7 +10,9 @@ rotation relabels cells and move letters consistently and costs no
 moves. Only rotations whose rotated-solved image is itself reachable
 are usable (half of the 24), which constrains where the blank may sit
 after setup; the setup search therefore deepens past the nominal two
-moves when required.
+moves when required. Whether a state ends a setup depends only on the
+blank's cell and piece 1's cell, so the setup words come from a per-mode
+table of shortest words over those 56 (blank, piece-1) pairs.
 
 Three solve targets are supported:
   strict   - the solved state itself (identity rotation only);
@@ -22,7 +24,7 @@ Three solve targets are supported:
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from . import box, perm, words
 
@@ -118,6 +120,7 @@ def relabel_map() -> Relabel:
     taken, so the choice is deterministic.
     """
     gens = [perm.parse_cycles(t, 6) for t in words.A6_GENERATOR_CYCLES]
+    gen_invs = [perm.inverse(g) for g in gens]
     atoms = box.three_cycle_atoms()
     sigmas = {pair: _atom_on_six(atoms[pair]) for pair in _SUBPROBLEM_PAIRS}
 
@@ -131,10 +134,10 @@ def relabel_map() -> Relabel:
                 conj[bimg[i]] = bimg[sigma[i]]
             conj = tuple(conj)
             hit = None
-            for gi, g in enumerate(gens, start=1):
+            for gi, (g, g_inv) in enumerate(zip(gens, gen_invs), start=1):
                 if conj == g:
                     hit = (gi, False)
-                elif conj == perm.inverse(g):
+                elif conj == g_inv:
                     hit = (gi, True)
             if hit is None or hit[0] in (v[0] for v in assign.values()):
                 ok = False
@@ -183,6 +186,12 @@ class Solver:
         for rot in self.rotations:
             b = rot.cells.index(7)
             self._frames_for_blank.setdefault(b, []).append(rot)
+        self._setup_tables: dict[str, dict] = {}
+        # (prefix, effect) for every A5 prefix of length 0, 1 and 2
+        self._a5_prefixes = [
+            [(prefix, self._effect(prefix))
+             for prefix in product(self._PREFIX_ALPHABET, repeat=plen)]
+            for plen in range(3)]
         self._distance = distance_table
 
     @property
@@ -222,6 +231,11 @@ class Solver:
         b = box.blank_cell(state)
         if state[b ^ 7] != 1:
             return []
+        return self._frames(b, mode)
+
+    def _frames(self, b: int, mode: str) -> list[Rotation]:
+        """Frames of the mode usable with the blank in cell b and piece 1
+        opposite it."""
         if mode == "strict":
             return [IDENTITY_ROTATION] if b == 7 else []
         frames = self._frames_for_blank.get(b, [])
@@ -252,30 +266,39 @@ class Solver:
         """
         if not box.is_reachable(c):
             raise ValueError("config is not reachable")
-        seen = {c}
-        layer = [("", c)]
-        while True:
-            candidates = []
-            for w, s in layer:
-                for rot in self._admissible_frames(s, mode):
-                    a = self.residual_abstract(s, rot)
-                    key = (len(self.table6.word_of(perm.inverse(a))), w,
-                           rot.bit_perm, rot.mask)
-                    candidates.append((key, w, s, rot, a))
-            if candidates:
-                _, w, s, rot, a = min(candidates)
-                return w, s, rot, a
-            nxt = []
-            for w, s in layer:
-                for m in box.LETTERS:
-                    ns = box.apply_move(s, m)
-                    if ns not in seen:
-                        seen.add(ns)
-                        nxt.append((w + m, ns))
-            if not nxt:
-                raise AssertionError("setup search exhausted the state "
-                                     "space without a candidate")
-            layer = nxt
+        table = self._setup_words(mode)
+        seen = set()
+        candidates = []
+        # Each word reuses the states along the prefix it shares with the
+        # word before it. Words reaching the same state (e.g. RBRBRB and
+        # BRBRBR) keep the first in R,U,B order, as a breadth-first search
+        # would.
+        path = [c]
+        for w, shared in table[box.blank_cell(c), c.index(1)]:
+            del path[shared + 1:]
+            for m in w[shared:]:
+                path.append(box.apply_move(path[-1], m))
+            s = path[-1]
+            if s in seen:
+                continue
+            seen.add(s)
+            for rot in self._admissible_frames(s, mode):
+                a = self.residual_abstract(s, rot)
+                key = (len(self.table6.word_of(perm.inverse(a))), w,
+                       rot.bit_perm, rot.mask)
+                candidates.append((key, w, s, rot, a))
+        _, w, s, rot, a = min(candidates)
+        return w, s, rot, a
+
+    def _setup_words(self, mode: str) -> dict:
+        """(blank cell, piece-1 cell) -> every shortest setup word for the
+        mode in R,U,B-lexicographic order, each with the length of the
+        prefix it shares with the word before it; built once per mode."""
+        table = self._setup_tables.get(mode)
+        if table is None:
+            goals = [(b, b ^ 7) for b in range(8) if self._frames(b, mode)]
+            table = self._setup_tables[mode] = _shortest_pair_words(goals)
+        return table
 
     # -- expansion ----------------------------------------------------
 
@@ -330,11 +353,10 @@ class Solver:
         two-generator table on the remaining five points."""
         setup_word, _, rot, a = self.setup_phase(c, mode)
         best = None
-        for plen in range(3):
+        for plen, prefixes in enumerate(self._a5_prefixes):
             found = []
-            for idx, prefix in enumerate(_signed_tuples(
-                    self._PREFIX_ALPHABET, plen)):
-                after = perm.compose(self._effect(prefix), a)
+            for idx, (prefix, effect) in enumerate(prefixes):
+                after = perm.compose(effect, a)
                 if after[5] != 5:
                     continue
                 stored5 = self.table5.word_of(perm.inverse(after[:5]))
@@ -387,10 +409,35 @@ class Solver:
         return summary, rows
 
 
-def _signed_tuples(alphabet, length):
-    if length == 0:
-        yield ()
-        return
-    for rest in _signed_tuples(alphabet, length - 1):
-        for s in alphabet:
-            yield rest + (s,)
+def _pair_move(pair, m: str):
+    """A move acting on (blank cell, piece-1 cell): the blank toggles the
+    letter's bit, and piece 1 moves only if it is the piece slid."""
+    b, p = pair
+    nb = b ^ (1 << box.AXIS_BIT[m])
+    return nb, (b if p == nb else p)
+
+
+def _shortest_pair_words(goals) -> dict:
+    """Every shortest word from each (blank, piece-1) pair to the goal
+    pairs, R,U,B-lexicographic, as (word, length of the prefix shared with
+    the word before it). Moves are involutions, so a BFS out of the goals
+    gives each pair's distance to them."""
+    dist = dict.fromkeys(goals, 0)
+    queue = deque(goals)
+    while queue:
+        pair = queue.popleft()
+        for m in box.LETTERS:
+            nxt = _pair_move(pair, m)
+            if nxt not in dist:
+                dist[nxt] = dist[pair] + 1
+                queue.append(nxt)
+    table = {}
+    for pair in sorted(dist, key=dist.get):
+        if dist[pair] == 0:
+            table[pair] = (("", 0),)
+            continue
+        table[pair] = tuple(
+            (m + w, shared + 1 if i else 0) for m in box.LETTERS
+            if dist[_pair_move(pair, m)] == dist[pair] - 1
+            for i, (w, shared) in enumerate(table[_pair_move(pair, m)]))
+    return table

@@ -76,6 +76,19 @@ def test_solve_needs_a_config_or_random(capsys):
     assert "config" in err
 
 
+@pytest.mark.parametrize("target", ("center", "rotation"))
+def test_solve_optimal_rejects_a_non_strict_target(capsys, target):
+    code, out, err = run(capsys, "solve", "--random", "--seed", "1",
+                         "--method", "optimal", "--target", target)
+    assert code == cli.INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    code, out, _ = run(capsys, "solve", "--random", "--seed", "1",
+                       "--method", "optimal", "--target", "strict")
+    assert code == cli.OK
+    assert json.loads(out)["method"] == "optimal"
+
+
 def test_words_csv(capsys):
     code, out, _ = run(capsys, "words", "--group", "a5")
     lines = out.strip().splitlines()

@@ -1,5 +1,6 @@
 """Heuristic and optimal solving: relabeling, frames, sweeps, pinned lengths."""
 
+import os
 import random
 
 import pytest
@@ -64,6 +65,63 @@ def test_unreachable_input_is_rejected(box_solver):
         box_solver.solve_heuristic_a6(bad)
     with pytest.raises(ValueError):
         box_solver.solve_heuristic_a5(bad)
+
+
+def _reference_setup(s, c, mode):
+    """Breadth-first setup search over whole configs, kept as the oracle
+    for the (blank, piece-1) word table behind `Solver.setup_phase`."""
+    seen = {c}
+    layer = [("", c)]
+    while True:
+        candidates = []
+        for w, state in layer:
+            for rot in s._admissible_frames(state, mode):
+                a = s.residual_abstract(state, rot)
+                key = (len(s.table6.word_of(perm.inverse(a))), w,
+                       rot.bit_perm, rot.mask)
+                candidates.append((key, w, state, rot, a))
+        if candidates:
+            _, w, state, rot, a = min(candidates)
+            return w, state, rot, a
+        nxt = []
+        for w, state in layer:
+            for m in box.LETTERS:
+                ns = box.apply_move(state, m)
+                if ns not in seen:
+                    seen.add(ns)
+                    nxt.append((w + m, ns))
+        layer = nxt
+
+
+@pytest.mark.parametrize("mode,total,per_pair,depth", (
+    ("strict", 208, 24, 11), ("center", 160, 12, 5), ("rotation", 160, 12, 5)))
+def test_setup_word_table(box_solver, mode, total, per_pair, depth):
+    table = box_solver._setup_words(mode)
+    assert len(table) == 56
+    assert sum(len(entries) for entries in table.values()) == total
+    assert max(len(entries) for entries in table.values()) == per_pair
+    assert max(len(w) for entries in table.values() for w, _ in entries) == depth
+    for entries in table.values():
+        ws = [w for w, _ in entries]
+        assert len({len(w) for w in ws}) == 1
+        assert ws == sorted(set(ws), key=lambda w: [box.LETTERS.index(m)
+                                                    for m in w])
+        assert [shared for _, shared in entries] == [
+            len(os.path.commonprefix(p)) for p in zip([""] + ws, ws)]
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_setup_phase_matches_breadth_first_search(box_solver, mode):
+    rng = random.Random(34)
+    for _ in range(300):
+        c = box.unrank(rng.randrange(box.N_REACHABLE))
+        assert box_solver.setup_phase(c, mode) == _reference_setup(
+            box_solver, c, mode)
+
+
+def test_setup_phase_rejects_unknown_mode(box_solver):
+    with pytest.raises(ValueError):
+        box_solver.setup_phase(box.SOLVED, "bogus")
 
 
 def test_optimal_length_matches_bfs_depth(box_solver, distance_table):
