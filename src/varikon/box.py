@@ -12,7 +12,6 @@ which pins down everything else (see three_cycle_atoms).
 """
 
 import random
-from collections import deque
 from . import perm
 
 BLANK = None
@@ -61,9 +60,11 @@ def phi(text: str) -> tuple[int, int, int]:
 
 
 def config_perm(c) -> perm.Perm:
-    """The configuration as an 8-point permutation relative to the
-    solved state (blank counted as point 8)."""
-    return tuple(7 if v is BLANK else v - 1 for v in c)
+    """The configuration as a permutation relative to the solved state,
+    the blank counted as the last point (point 8 of the box, point 16 of
+    the 15-puzzle)."""
+    last = len(c) - 1
+    return tuple(last if v is BLANK else v - 1 for v in c)
 
 
 def piece_perm(c) -> perm.Perm:
@@ -82,16 +83,7 @@ def is_reachable(c) -> bool:
 
 def enumerate_reachable() -> set:
     """BFS from the solved state over {R,U,B}."""
-    seen = {SOLVED}
-    queue = deque([SOLVED])
-    while queue:
-        c = queue.popleft()
-        for m in LETTERS:
-            nc = apply_move(c, m)
-            if nc not in seen:
-                seen.add(nc)
-                queue.append(nc)
-    return seen
+    return set(perm.bfs([SOLVED], LETTERS, apply_move))
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +179,7 @@ def three_cycle_atoms() -> dict[tuple[str, str], perm.Perm]:
 def subgroup_order(letters, start=SOLVED) -> int:
     """Orbit size of a config under the subgroup generated by the given
     letters. The action is regular, so this is the subgroup order."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        c = queue.popleft()
-        for m in letters:
-            nc = apply_move(c, m)
-            if nc not in seen:
-                seen.add(nc)
-                queue.append(nc)
-    return len(seen)
+    return len(perm.bfs([start], letters, apply_move))
 
 
 def dihedral_check(x: str, y: str, configs=None) -> list:
@@ -229,25 +212,28 @@ def dihedral_check(x: str, y: str, configs=None) -> list:
     return checks
 
 
-def parse_config(text: str):
+def parse_config(text: str, cells: int = 8):
+    """A board of `cells` comma-separated tokens: pieces 1..cells-1 in
+    ASCII decimal and "_" for the blank (8 for the box, 16 for the
+    15-puzzle)."""
     tokens = [t.strip() for t in text.split(",")]
-    if len(tokens) != 8:
-        raise ValueError(f"expected 8 tokens, got {len(tokens)}")
-    cells = []
+    if len(tokens) != cells:
+        raise ValueError(f"expected {cells} tokens, got {len(tokens)}")
+    pieces = cells - 1
+    config = []
     for t in tokens:
         if t == "_":
-            cells.append(BLANK)
+            config.append(BLANK)
+        elif t.isascii() and t.isdigit():
+            v = int(t)
+            if not 1 <= v <= pieces:
+                raise ValueError(f"piece {v} out of range 1..{pieces}")
+            config.append(v)
         else:
-            try:
-                v = int(t)
-            except ValueError:
-                raise ValueError(f"bad token {t!r}") from None
-            if not 1 <= v <= 7:
-                raise ValueError(f"piece {v} out of range 1..7")
-            cells.append(v)
-    config = tuple(cells)
-    if sorted(config_perm(config)) != list(range(8)):
-        raise ValueError("config must contain each of 1..7 and _ once")
+            raise ValueError(f"bad token {t!r}")
+    config = tuple(config)
+    if sorted(config_perm(config)) != list(range(cells)):
+        raise ValueError(f"config must contain each of 1..{pieces} and _ once")
     return config
 
 

@@ -30,26 +30,6 @@ def cmd_enumerate(args, out) -> int:
     return OK
 
 
-def _fifteen_family_report() -> Report:
-    rep = Report("three-cycle family from the conjugated words")
-    try:
-        family = fifteen.three_cycle_family()
-    except ValueError as exc:
-        rep.add("family construction", "13 cycles (11,12,i) covering all "
-                "i except 11,12", f"error: {exc}")
-        return rep
-    rep.add("family size", 13, len(family))
-    covered = set()
-    for n, p in sorted(family.items()):
-        moved = {i + 1 for i in range(16) if p[i] != i}
-        covered |= moved - {11, 12}
-        rep.add(f"n={n} cycle", True, {11, 12} <= moved and len(moved) == 3,
-                note=perm.format_cycles(p))
-    rep.add("third points cover 1..15 minus 11,12",
-            set(range(1, 16)) - {11, 12}, covered)
-    return rep
-
-
 def _atoms_report() -> Report:
     rep = Report("alternating-pair 3-cycles")
     try:
@@ -76,7 +56,7 @@ def build_verify_reports() -> list[Report]:
         groups.verify_K_is_A7(kernel),
         groups.verify_structure(table, z),
         _atoms_report(),
-        _fifteen_family_report(),
+        fifteen.family_report(),
         words.a5_report(),
         words.a6_report(),
     ]
@@ -112,14 +92,18 @@ def cmd_solve(args, out) -> int:
               "a5 only; optimal solves to the strict target",
               file=sys.stderr)
         return INPUT_ERROR
+    if args.random == (args.config is not None):
+        print("error: need exactly one of a config and --random",
+              file=sys.stderr)
+        return INPUT_ERROR
+    if args.seed is not None and not args.random:
+        print("error: --seed applies only with --random", file=sys.stderr)
+        return INPUT_ERROR
     try:
         if args.random:
-            config = box.random_reachable(args.seed)
-        elif args.config is not None:
-            config = box.parse_config(args.config)
+            config = box.random_reachable(args.seed or 0)
         else:
-            print("error: need a config or --random", file=sys.stderr)
-            return INPUT_ERROR
+            config = box.parse_config(args.config)
         if not box.is_reachable(config):
             print(f"error: unreachable config {box.format_config(config)}",
                   file=sys.stderr)
@@ -164,7 +148,7 @@ def cmd_words(args, out) -> int:
 
 def cmd_fifteen(args, out) -> int:
     if args.verify_cycles:
-        rep = _fifteen_family_report()
+        rep = fifteen.family_report()
         for line in rep.lines():
             print(line, file=out)
         return OK if rep.passed else CHECK_FAILED
@@ -201,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=solver.MODES, default="strict")
     p.add_argument("--random", action="store_true",
                    help="solve a random reachable config instead")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="seed for --random (default 0)")
 
     p = sub.add_parser("words", help="emit a shortest-word table")
     p.add_argument("--group", choices=("a5", "a6"), required=True)

@@ -8,16 +8,13 @@ both moves are total and have order 4.
 """
 
 import re
-from . import perm
+from . import box, perm
+from .box import BLANK, blank_cell, config_perm, format_config
+from .report import Report
 
-BLANK = None
 SOLVED = tuple(range(1, 16)) + (BLANK,)
 
 _WORD_TOKEN = re.compile(r"([RU])(\d*)")
-
-
-def blank_cell(c) -> int:
-    return c.index(BLANK)
 
 
 def apply_move(c, m: str):
@@ -77,12 +74,6 @@ def apply_word(c, text: str):
     return c
 
 
-def config_perm(c) -> perm.Perm:
-    """The configuration as a 16-point permutation relative to the
-    solved state (blank counted as point 16)."""
-    return tuple(15 if v is BLANK else v - 1 for v in c)
-
-
 def is_solvable(c) -> bool:
     """Parity test: solvable iff the 16-point permutation parity equals
     the parity of the blank's taxicab distance to the home corner."""
@@ -108,52 +99,29 @@ def three_cycle_word(n: int) -> str:
 
 
 def three_cycle_family() -> dict[int, perm.Perm]:
-    """Permutations effected by three_cycle_word(n) for n = 0..12.
+    """Permutations effected by three_cycle_word(n) for n = 0..12;
+    family_report checks that they are the claimed 3-cycles."""
+    return {n: config_perm(apply_word(SOLVED, three_cycle_word(n)))
+            for n in range(13)}
 
-    Each must be a 3-cycle moving 11, 12 and one other piece; together
-    they cover every third piece except 11 and 12. Violations raise
-    with the offending n.
-    """
-    family = {}
+
+def family_report() -> Report:
+    """Each family member must be a 3-cycle moving 11, 12 and one other
+    piece; together they cover every third piece except 11 and 12."""
+    family = three_cycle_family()
+    rep = Report("three-cycle family from the conjugated words")
+    rep.add("family size", 13, len(family))
     covered = set()
-    for n in range(13):
-        p = config_perm(apply_word(SOLVED, three_cycle_word(n)))
+    for n, p in sorted(family.items()):
         moved = {i + 1 for i in range(16) if p[i] != i}
-        if len(moved) != 3 or not {11, 12} <= moved:
-            raise ValueError(
-                f"n={n}: expected a 3-cycle on 11, 12 and one more, got "
-                f"{perm.format_cycles(p)}")
-        (extra,) = moved - {11, 12}
-        if extra in covered:
-            raise ValueError(f"n={n}: third point {extra} repeated")
-        covered.add(extra)
-        family[n] = p
-    if covered != set(range(1, 16)) - {11, 12}:
-        raise ValueError(f"family misses third points: {covered}")
-    return family
+        covered |= moved - {11, 12}
+        rep.add(f"n={n} cycle", True, {11, 12} <= moved and len(moved) == 3,
+                note=perm.format_cycles(p))
+    rep.add("third points cover 1..15 minus 11,12",
+            set(range(1, 16)) - {11, 12}, covered)
+    return rep
 
 
 def parse_config(text: str):
-    tokens = [t.strip() for t in text.split(",")]
-    if len(tokens) != 16:
-        raise ValueError(f"expected 16 tokens, got {len(tokens)}")
-    cells = []
-    for t in tokens:
-        if t == "_":
-            cells.append(BLANK)
-        else:
-            try:
-                v = int(t)
-            except ValueError:
-                raise ValueError(f"bad token {t!r}") from None
-            if not 1 <= v <= 15:
-                raise ValueError(f"piece {v} out of range 1..15")
-            cells.append(v)
-    config = tuple(cells)
-    if sorted(config_perm(config)) != list(range(16)):
-        raise ValueError("config must contain each of 1..15 and _ once")
-    return config
-
-
-def format_config(c) -> str:
-    return ",".join("_" if v is BLANK else str(v) for v in c)
+    """16 comma-separated tokens, pieces 1..15 and "_" for the blank."""
+    return box.parse_config(text, 16)

@@ -15,7 +15,7 @@ involved keeps the blank in one place.
 """
 
 import random
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 
 from . import box, perm
@@ -51,8 +51,8 @@ def config_of(p: perm.Perm):
 # ---------------------------------------------------------------------------
 
 class DistanceTable:
-    """Shortest word lengths from the identity over {R,U,B}, indexed by
-    the perfect-hash rank of each reachable config."""
+    """Shortest word lengths from the identity over {R,U,B} (perm.bfs on
+    ranks), indexed by the perfect-hash rank of each reachable config."""
 
     def __init__(self):
         move_rank = {m: [0] * box.N_REACHABLE for m in box.LETTERS}
@@ -64,18 +64,14 @@ class DistanceTable:
 
         depth = [-1] * box.N_REACHABLE
         parent = [""] * box.N_REACHABLE
-        root = box.rank(box.SOLVED)
-        depth[root] = 0
-        queue = deque([root])
-        while queue:
-            r = queue.popleft()
-            d = depth[r] + 1
-            for m in box.LETTERS:
-                nr = move_rank[m][r]
-                if depth[nr] < 0:
-                    depth[nr] = d
-                    parent[nr] = m
-                    queue.append(nr)
+        tree = perm.bfs([box.rank(box.SOLVED)], box.LETTERS,
+                        lambda r, m: move_rank[m][r])
+        for r, (prev, m) in tree.items():  # parents come before children
+            if prev is None:
+                depth[r] = 0
+            else:
+                depth[r] = depth[prev] + 1
+                parent[r] = m
         if min(depth) < 0:
             raise AssertionError("BFS did not reach every rank")
         self.depth = depth
@@ -83,10 +79,7 @@ class DistanceTable:
         self.max_depth = max(depth)
 
     def histogram(self) -> list[tuple[int, int]]:
-        counts: dict[int, int] = {}
-        for d in self.depth:
-            counts[d] = counts.get(d, 0) + 1
-        return sorted(counts.items())
+        return sorted(Counter(self.depth).items())
 
     def depth_of(self, c) -> int:
         return self.depth[box.rank(c)]
@@ -101,9 +94,16 @@ class DistanceTable:
             r = self.move_rank[m][r]  # letters are involutions
         return "".join(reversed(letters))
 
+    def walk(self, r: int, word: str) -> int:
+        """The rank reached from rank r by applying word's letters."""
+        mr = self.move_rank
+        for letter in word:
+            r = mr[letter][r]
+        return r
+
 
 def build_distance_table() -> DistanceTable:
-    """God's algorithm: exhaustive BFS over the Cayley graph."""
+    """God's algorithm: exhaustive BFS (perm.bfs) over the Cayley graph."""
     return DistanceTable()
 
 
@@ -117,22 +117,13 @@ def center(table: DistanceTable) -> list[GroupElement]:
     (m + witness) land on the same config from the solved state; both
     sides are walked in rank space.
     """
-    mr = table.move_rank
     root = box.rank(box.SOLVED)
     out = []
     for r in range(box.N_REACHABLE):
         c = box.unrank(r)
         w = table.word_to(c)
-        central = True
-        for m in box.LETTERS:
-            left = mr[m][r]
-            right = mr[m][root]
-            for letter in w:
-                right = mr[letter][right]
-            if left != right:
-                central = False
-                break
-        if central:
+        if all(table.walk(r, m) == table.walk(root, m + w)
+               for m in box.LETTERS):
             out.append(GroupElement(c, w))
     return out
 
@@ -253,36 +244,21 @@ def verify_structure(table: DistanceTable, center_elements) -> Report:
     rep.add("(e) named 3-cycles generate all even piece permutations",
             2520, len(perm.generate([p[:7] for p in kgen_perms])))
 
-    mr = table.move_rank
-
-    def walk(r: int, word: str) -> int:
-        for letter in word:
-            r = mr[letter][r]
-        return r
-
     # generating elements of K<R>: the letter R plus one element per
     # named 3-cycle (cycle direction is irrelevant to generation and to
     # commutation, so the canon built from the cycle image serves)
     gen_words = ["R"] + [table.word_to(config_of(p)) for p in kgen_perms]
     root = box.rank(box.SOLVED)
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        r = queue.popleft()
-        for w in gen_words:
-            nr = walk(r, w)
-            if nr not in seen:
-                seen.add(nr)
-                queue.append(nr)
+    closure = perm.bfs([root], gen_words, table.walk)
     kr_ranks = {box.rank(c) for c in kr_canons}
     rep.add("(e) closure of R + the 3-cycles equals K<R>", True,
-            seen == kr_ranks)
+            closure.keys() == kr_ranks)
 
-    gen_roots = [walk(root, w) for w in gen_words]
+    gen_roots = [table.walk(root, w) for w in gen_words]
     central = []
     for r in sorted(kr_ranks):
         w = table.word_to(box.unrank(r))
-        if all(walk(r, gw) == walk(gr, w)
+        if all(table.walk(r, gw) == table.walk(gr, w)
                for gw, gr in zip(gen_words, gen_roots)):
             central.append(box.unrank(r))
     rep.add("(e) center of K<R>", [box.SOLVED], central)

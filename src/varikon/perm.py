@@ -102,6 +102,24 @@ def format_cycles(p: Perm) -> str:
     return "".join(parts) or "()"
 
 
+def bfs(roots, labels, move) -> dict:
+    """Breadth-first search from the roots, where move(state, label) is
+    the state one labelled edge away. Returns {state: (parent, label)}
+    in discovery order, each root mapped to (None, None). Labels are
+    tried in the order given, so a state records the first edge that
+    reached it."""
+    tree = dict.fromkeys(roots, (None, None))
+    queue = deque(tree)
+    while queue:
+        state = queue.popleft()
+        for label in labels:
+            nxt = move(state, label)
+            if nxt not in tree:
+                tree[nxt] = (state, label)
+                queue.append(nxt)
+    return tree
+
+
 def generate(gens) -> set:
     """Closure of a non-empty generator set under composition (BFS from
     the identity). Finite closure under products contains inverses, so
@@ -114,17 +132,7 @@ def generate(gens) -> set:
         if len(g) != n:
             raise ValueError("generators act on different point counts")
         validate(g)
-    ident = identity(n)
-    seen = {ident}
-    queue = deque([ident])
-    while queue:
-        p = queue.popleft()
-        for g in gens:
-            q = compose(p, g)
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return seen
+    return set(bfs([identity(n)], gens, compose))
 
 
 def all_even(n: int) -> set:

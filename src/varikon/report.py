@@ -4,6 +4,15 @@ import json
 from dataclasses import dataclass, field
 
 
+def render(value) -> str:
+    """repr, except that a non-empty set prints its members sorted by
+    repr, so the text does not depend on hash order (string hashes are
+    randomized per process, and so is hash(None) on some versions)."""
+    if isinstance(value, (set, frozenset)) and value:
+        return "{" + ", ".join(sorted(map(repr, value))) + "}"
+    return repr(value)
+
+
 @dataclass(frozen=True)
 class Check:
     claim: str
@@ -16,8 +25,8 @@ class Check:
         return self.expected == self.computed
 
     def row(self) -> dict:
-        d = {"claim": self.claim, "expected": repr(self.expected),
-             "computed": repr(self.computed), "pass": self.passed}
+        d = {"claim": self.claim, "expected": render(self.expected),
+             "computed": render(self.computed), "pass": self.passed}
         if self.note:
             d["note"] = self.note
         return d
@@ -50,7 +59,8 @@ class Report:
         out = []
         for c in self.checks:
             status = "ok" if c.passed else "FAIL"
-            line = f"[{status}] {c.claim}: expected {c.expected!r}, got {c.computed!r}"
+            line = (f"[{status}] {c.claim}: expected {render(c.expected)}, "
+                    f"got {render(c.computed)}")
             if c.note:
                 line += f" ({c.note})"
             out.append(line)

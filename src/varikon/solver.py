@@ -22,11 +22,10 @@ Three solve targets are supported:
 """
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from . import box, perm, words
+from . import box, groups, perm, words
 
 MODES = ("strict", "center", "rotation")
 
@@ -48,9 +47,7 @@ class Rotation:
     def target(self):
         """Image of the solved state in this rotated frame: the config
         that looks solved once the box is turned by the rotation."""
-        return tuple(
-            box.BLANK if self.cells[i] == 7 else self.cells[i] + 1
-            for i in range(8))
+        return groups.config_of(self.cells)
 
     def frame_letter_to_physical(self, letter: str) -> str:
         """The physical move that realizes a frame-coordinate move."""
@@ -187,9 +184,11 @@ class Solver:
             b = rot.cells.index(7)
             self._frames_for_blank.setdefault(b, []).append(rot)
         self._setup_tables: dict[str, dict] = {}
-        # (prefix, effect) for every A5 prefix of length 0, 1 and 2
+        # (prefix, effect) for every A5 prefix of length 0, 1 and 2; the
+        # effect is the point action of performing the prefix's letters
+        # in order, so the last performed acts first
         self._a5_prefixes = [
-            [(prefix, self._effect(prefix))
+            [(prefix, self.table6.compose_word(prefix[::-1]))
              for prefix in product(self._PREFIX_ALPHABET, repeat=plen)]
             for plen in range(3)]
         self._distance = distance_table
@@ -197,8 +196,7 @@ class Solver:
     @property
     def distance(self):
         if self._distance is None:
-            from .groups import build_distance_table
-            self._distance = build_distance_table()
+            self._distance = groups.build_distance_table()
         return self._distance
 
     # -- optimal ------------------------------------------------------
@@ -248,9 +246,7 @@ class Solver:
     def residual_abstract(self, state, rot: Rotation) -> perm.Perm:
         """The six unsolved pieces of a set-up state, as a permutation of
         the abstract points."""
-        inv_cells = [0] * 8
-        for i, v in enumerate(rot.cells):
-            inv_cells[v] = i
+        inv_cells = perm.inverse(rot.cells)
         piece6 = tuple(state[inv_cells[k - 1]] - 2 for k in range(2, 8))
         a = self.relabel.to_abstract(piece6)
         if perm.parity(a) != 0:
@@ -315,13 +311,14 @@ class Solver:
 
     def _finish(self, c, method, setup_word, phys, rot) -> Solution:
         moves = setup_word + phys
-        if box.apply_word(c, moves) != rot.target():
+        target = rot.target()
+        if box.apply_word(c, moves) != target:
             raise AssertionError(
                 f"{method} produced an invalid solution for "
                 f"{box.format_config(c)}")
         return Solution(method, moves,
                         (("setup", setup_word), ("word-expansion", phys)),
-                        rot.target())
+                        target)
 
     # -- heuristics ---------------------------------------------------
 
@@ -337,28 +334,21 @@ class Solver:
 
     _PREFIX_ALPHABET = (1, -1, 2, -2, 3, -3)
 
-    def _effect(self, performed) -> perm.Perm:
-        """Point action of performing abstract letters in order (last
-        performed applied first)."""
-        gens = self.table6.gens
-        out = perm.identity(6)
-        for s in reversed(performed):
-            g = gens[s - 1] if s > 0 else perm.inverse(gens[-s - 1])
-            out = perm.compose(out, g)
-        return out
-
     def solve_heuristic_a5(self, c, mode: str = "strict") -> Solution:
         """Like the A6 path, but first homes the piece at abstract point
         6 with at most two extra generator applications, then uses the
         two-generator table on the remaining five points."""
         setup_word, _, rot, a = self.setup_phase(c, mode)
+        # compose(effect, a) maps point 5 to a[effect[5]], so it homes
+        # point 5 exactly when effect[5] is the point that a sends to 5
+        home = a.index(5)
         best = None
         for plen, prefixes in enumerate(self._a5_prefixes):
             found = []
             for idx, (prefix, effect) in enumerate(prefixes):
-                after = perm.compose(effect, a)
-                if after[5] != 5:
+                if effect[5] != home:
                     continue
+                after = perm.compose(effect, a)
                 stored5 = self.table5.word_of(perm.inverse(after[:5]))
                 found.append((plen + len(stored5), idx, prefix, stored5))
             if found:
@@ -422,15 +412,9 @@ def _shortest_pair_words(goals) -> dict:
     pairs, R,U,B-lexicographic, as (word, length of the prefix shared with
     the word before it). Moves are involutions, so a BFS out of the goals
     gives each pair's distance to them."""
-    dist = dict.fromkeys(goals, 0)
-    queue = deque(goals)
-    while queue:
-        pair = queue.popleft()
-        for m in box.LETTERS:
-            nxt = _pair_move(pair, m)
-            if nxt not in dist:
-                dist[nxt] = dist[pair] + 1
-                queue.append(nxt)
+    dist = {}
+    for pair, (prev, _) in perm.bfs(goals, box.LETTERS, _pair_move).items():
+        dist[pair] = 0 if prev is None else dist[prev] + 1
     table = {}
     for pair in sorted(dist, key=dist.get):
         if dist[pair] == 0:

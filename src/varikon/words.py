@@ -4,12 +4,14 @@ sub-problems (alternating groups on 5 and 6 points).
 A table word is a tuple of signed 1-based generator indices: +k means
 the k-th generator, -k its inverse. Products are left-to-right (the
 first letter is applied first). BFS from the identity with the letter
-alphabet ordered +1, -1, +2, -2, ... yields, for every element, the
-lexicographically least word among the shortest ones.
+alphabet ordered +1, -1, +2, -2, ... (perm.bfs tries labels in the
+order given and keeps the first path found) yields, for every element,
+the lexicographically least word among the shortest ones.
 """
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 from . import perm
 from .report import Report
@@ -18,11 +20,12 @@ A5_GENERATOR_CYCLES = ("(1,2,3)", "(3,4,5)")
 A6_GENERATOR_CYCLES = ("(1,2,3)", "(3,4,5)", "(5,6,1)")
 
 
-def _signed_letters(gens):
-    letters = []
+def _signed_letters(gens) -> dict:
+    """{+k: k-th generator, -k: its inverse}, ordered +1, -1, +2, -2, ..."""
+    letters = {}
     for i, g in enumerate(gens, start=1):
-        letters.append((i, g))
-        letters.append((-i, perm.inverse(g)))
+        letters[i] = g
+        letters[-i] = perm.inverse(g)
     return letters
 
 
@@ -30,6 +33,10 @@ def _signed_letters(gens):
 class WordTable:
     gens: tuple
     entries: dict  # Perm -> word (tuple of signed generator indices)
+
+    @cached_property
+    def letters(self) -> dict:
+        return _signed_letters(self.gens)
 
     def __len__(self):
         return len(self.entries)
@@ -47,18 +54,12 @@ class WordTable:
         return [p for p, w in self.entries.items() if len(w) == k]
 
     def length_histogram(self) -> list[tuple[int, int]]:
-        counts: dict[int, int] = {}
-        for w in self.entries.values():
-            counts[len(w)] = counts.get(len(w), 0) + 1
-        return sorted(counts.items())
+        return sorted(Counter(len(w) for w in self.entries.values()).items())
 
     def compose_word(self, word) -> perm.Perm:
         """Re-expand a signed-index word to the element it denotes."""
-        out = perm.identity(len(self.gens[0]))
-        for s in word:
-            g = self.gens[s - 1] if s > 0 else perm.inverse(self.gens[-s - 1])
-            out = perm.compose(out, g)
-        return out
+        return reduce(perm.compose, (self.letters[s] for s in word),
+                      perm.identity(len(self.gens[0])))
 
     def csv_rows(self):
         rows = [("element", "length", "word")]
@@ -70,20 +71,13 @@ class WordTable:
 
 
 def build_table(gens) -> WordTable:
-    gens = tuple(gens)
-    letters = _signed_letters(gens)
-    ident = perm.identity(len(gens[0]))
-    entries = {ident: ()}
-    queue = deque([ident])
-    while queue:
-        p = queue.popleft()
-        w = entries[p]
-        for s, g in letters:
-            q = perm.compose(p, g)
-            if q not in entries:
-                entries[q] = w + (s,)
-                queue.append(q)
-    return WordTable(gens, entries)
+    table = WordTable(tuple(gens), {})
+    letters, entries = table.letters, table.entries
+    tree = perm.bfs([perm.identity(len(table.gens[0]))], letters,
+                    lambda p, s: perm.compose(p, letters[s]))
+    for p, (prev, s) in tree.items():  # parents come before children
+        entries[p] = () if prev is None else entries[prev] + (s,)
+    return table
 
 
 def build_a5_table() -> WordTable:
@@ -112,10 +106,7 @@ def compose_factors(factors, n: int, right_to_left: bool = False) -> perm.Perm:
           for t, e in factors]
     if right_to_left:
         ps.reverse()
-    out = perm.identity(n)
-    for p in ps:
-        out = perm.compose(out, p)
-    return out
+    return reduce(perm.compose, ps, perm.identity(n))
 
 
 def check_factorization(name: str, factors, expected_text: str, n: int):

@@ -149,6 +149,8 @@ def test_config_text_round_trip():
 
 def test_config_text_rejects_bad_input():
     for bad in ("1,2,3", "1,2,3,4,5,6,7,8", "1,1,3,4,5,6,7,_",
-                "_,_,3,4,5,6,7,1", "1,2,3,4,5,6,x,_", "0,2,3,4,5,6,7,_"):
+                "_,_,3,4,5,6,7,1", "1,2,3,4,5,6,x,_", "0,2,3,4,5,6,7,_",
+                # only ASCII decimal pieces: Arabic-Indic one, fullwidth three
+                "\u0661,2,3,4,5,6,7,_", "1,2,\uff13,4,5,6,7,_"):
         with pytest.raises(ValueError):
             box.parse_config(bad)

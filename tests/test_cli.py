@@ -1,10 +1,21 @@
 """Command-line surface: output shapes and exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from varikon import cli
+import varikon
+from varikon import cli, groups
 
 
 def run(capsys, *argv):
@@ -55,6 +66,25 @@ def test_solve_random_is_seeded(capsys):
     code2, out2, _ = run(capsys, "solve", "--random", "--seed", "9")
     assert code1 == code2 == cli.OK
     assert out1 == out2
+
+
+def test_solve_random_defaults_to_seed_zero(capsys):
+    _, plain, _ = run(capsys, "solve", "--random", "--method", "a6")
+    _, seeded, _ = run(capsys, "solve", "--random", "--seed", "0",
+                       "--method", "a6")
+    assert plain == seeded
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "1,2,3,4,5,6,7,_", "--random"),
+    ("solve", "1,2,3,4,5,6,7,_", "--seed", "3"),
+    ("solve", "--seed", "3"),
+])
+def test_solve_rejects_ignored_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_solve_unreachable_config(capsys):
@@ -138,3 +168,79 @@ def test_verify_text_summary_line(capsys):
 def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         cli.main(["bogus"])
+
+
+# sha256 of `varikon verify` stdout, text and JSON. Sets in the report are
+# printed sorted, so the output is the same under any PYTHONHASHSEED.
+VERIFY_SHA256 = {
+    "text": "349c68afe638ee815686f6927785ea941a374d1171fb6abcc3be78995306beeb",
+    "json": "88e9307ec84701bd70ef998f9a6d6bc7628836b39ced51fd654dfe35774211f1",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_SHA256))
+def test_verify_output_is_deterministic(fmt):
+    src = str(Path(varikon.__file__).resolve().parents[1])
+    procs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        procs.append(subprocess.Popen(
+            [sys.executable, "-m", "varikon", "verify", "--format", fmt],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    outs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == cli.CHECK_FAILED, err.decode()
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == VERIFY_SHA256[fmt]
+
+
+# Exit-code contract: 0 ok, 1 check failed, 2 input error (returned, or
+# raised as SystemExit by argparse); no other exception escapes.
+_TOKENS = st.one_of(
+    st.sampled_from(["_", "0", "1", "2", "3", "7", "8", "15", "16", "-1",
+                     "+3", "1_0", "\u0661", "\uff13", "x", " 4 ", ""]),
+    st.text(max_size=3))
+_BOARDS = st.one_of(
+    st.lists(_TOKENS, max_size=17).map(",".join),
+    st.permutations("1234567_").map(",".join),
+    st.permutations([str(i) for i in range(1, 16)] + ["_"]).map(",".join),
+    st.text(max_size=20))
+_SOLVE_FLAGS = st.lists(st.sampled_from([
+    ("--random",), ("--seed", "5"), ("--seed", "x"), ("--method", "a6"),
+    ("--method", "a5"), ("--method", "optimal"), ("--method", "bogus"),
+    ("--target", "center"), ("--target", "rotation"), ("--target", "strict"),
+    ("--bogus",)]), max_size=3)
+
+
+def _exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == cli.INPUT_ERROR, argv
+    assert code in (cli.OK, cli.CHECK_FAILED, cli.INPUT_ERROR), argv
+    if code == cli.OK:
+        json.loads(out.getvalue())
+    if code == cli.INPUT_ERROR:
+        assert out.getvalue() == "" and "error:" in err.getvalue(), argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_BOARDS, _SOLVE_FLAGS)
+def test_solve_exit_code_contract(distance_table, text, flags):
+    argv = ["solve", text] + [arg for flag in flags for arg in flag]
+    # optimal solves would otherwise rebuild the distance table each time
+    with mock.patch.object(groups, "build_distance_table",
+                           lambda: distance_table):
+        _exit_code_contract(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_BOARDS)
+def test_fifteen_check_exit_code_contract(text):
+    _exit_code_contract(["fifteen", "--check", text])

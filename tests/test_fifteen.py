@@ -130,6 +130,9 @@ def test_config_text_rejects_bad_input():
         "_,_,3,4,5,6,7,8,9,10,11,12,13,14,15,1",            # two blanks
         "1,2,3,4,5,6,7,8,9,10,11,12,13,14,x,_",             # junk token
         "0,2,3,4,5,6,7,8,9,10,11,12,13,14,15,_",            # out of range
+        "\u0661,2,3,4,5,6,7,8,9,10,11,12,13,14,15,_",       # Arabic-Indic 1
+        "1,2,\uff13,4,5,6,7,8,9,10,11,12,13,14,15,_",       # fullwidth 3
+        "1,2,3,4,5,6,7,8,9,1_0,11,12,13,14,15,_",           # int() digit group
     ):
         with pytest.raises(ValueError):
             fifteen.parse_config(bad)

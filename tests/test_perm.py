@@ -98,3 +98,36 @@ def test_all_even():
     assert all(perm.parity(p) == 0 for p in evens)
     assert perm.parse_cycles("(1,2,3)", 4) in evens
     assert perm.parse_cycles("(1,2)", 4) not in evens
+
+
+# r1 and r2 are the roots; b is reachable from both, d from b by either label
+BFS_GRAPH = {
+    "r1": {"x": "a", "y": "b"},
+    "r2": {"x": "b", "y": "c"},
+    "a": {"x": "r1", "y": "r1"},
+    "b": {"x": "d", "y": "d"},
+    "c": {"x": "c", "y": "c"},
+    "d": {"x": "d", "y": "d"},
+}
+
+
+@pytest.mark.parametrize("labels, expected", [
+    ("xy", [("r1", (None, None)), ("r2", (None, None)), ("a", ("r1", "x")),
+            ("b", ("r1", "y")), ("c", ("r2", "y")), ("d", ("b", "x"))]),
+    ("yx", [("r1", (None, None)), ("r2", (None, None)), ("b", ("r1", "y")),
+            ("a", ("r1", "x")), ("c", ("r2", "y")), ("d", ("b", "y"))]),
+])
+def test_bfs_discovery_order_and_first_edge(labels, expected):
+    tree = perm.bfs(["r1", "r2"], labels, lambda s, m: BFS_GRAPH[s][m])
+    assert list(tree.items()) == expected
+
+
+def test_bfs_tree_edges_are_moves():
+    gens = [perm.parse_cycles("(1,2,3)", 5), perm.parse_cycles("(3,4,5)", 5)]
+    tree = perm.bfs([perm.identity(5)], gens, perm.compose)
+    assert set(tree) == perm.all_even(5)
+    order = {p: i for i, p in enumerate(tree)}
+    for p, (prev, g) in tree.items():
+        if prev is not None:
+            assert perm.compose(prev, g) == p
+            assert order[prev] < order[p]
