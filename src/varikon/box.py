@@ -13,6 +13,7 @@ which pins down everything else (see three_cycle_atoms).
 
 import random
 from . import perm
+from .report import Check, Report
 
 BLANK = None
 SOLVED = (1, 2, 3, 4, 5, 6, 7, BLANK)
@@ -143,73 +144,57 @@ def random_reachable(seed: int):
 # ---------------------------------------------------------------------------
 
 def three_cycle_atoms() -> dict[tuple[str, str], perm.Perm]:
-    """Piece permutation of solved*(XYXY) for each ordered letter pair.
-
-    Each is a 3-cycle leaving the blank home; the three unordered pairs
-    give the cycles (5,6,7), (3,4,7) and (2,4,6), and reversing a pair
-    inverts its cycle.
-    """
-    atoms = {}
-    for x in LETTERS:
-        for y in LETTERS:
-            if x == y:
-                continue
-            c = apply_word(SOLVED, (x + y) * 2)
-            p = piece_perm(c)
-            moved = [i for i in range(7) if p[i] != i]
-            if len(moved) != 3:
-                raise ValueError(f"pair ({x},{y}) is not a 3-cycle: "
-                                 f"{perm.format_cycles(p)}")
-            atoms[(x, y)] = p
-    expected = {"(5,6,7)", "(3,4,7)", "(2,4,6)"}
-    seen_cycles = set()
-    for (x, y), p in atoms.items():
-        if atoms[(y, x)] != perm.inverse(p):
-            raise ValueError(f"pair ({y},{x}) is not the inverse of ({x},{y})")
-        text = perm.format_cycles(p)
-        inv_text = perm.format_cycles(perm.inverse(p))
-        if text not in expected and inv_text not in expected:
-            raise ValueError(f"unexpected cycle {text} for pair ({x},{y})")
-        seen_cycles.add(text if text in expected else inv_text)
-    if seen_cycles != expected:
-        raise ValueError(f"cycles {seen_cycles} do not cover {expected}")
-    return atoms
+    """Piece permutation of solved*(XYXY) for each ordered letter pair;
+    atoms_report checks that they are the claimed 3-cycles."""
+    return {(x, y): piece_perm(apply_word(SOLVED, (x + y) * 2))
+            for x in LETTERS for y in LETTERS if x != y}
 
 
-def subgroup_order(letters, start=SOLVED) -> int:
-    """Orbit size of a config under the subgroup generated by the given
-    letters. The action is regular, so this is the subgroup order."""
-    return len(perm.bfs([start], letters, apply_move))
+def atoms_report() -> Report:
+    """Each atom must be a 3-cycle fixing piece 1, and the six atoms must
+    be (5,6,7), (3,4,7), (2,4,6) and their inverses."""
+    atoms = three_cycle_atoms()
+    rep = Report("alternating-pair 3-cycles")
+    for pair, p in sorted(atoms.items()):
+        rep.add(f"{''.join(pair)} cycle is a 3-cycle fixing piece 1", True,
+                p[0] == 0 and sum(1 for i in range(7) if p[i] != i) == 3,
+                note=perm.format_cycles(p))
+    names = {perm.format_cycles(p) for p in atoms.values()}
+    rep.add("unordered cycles", {"(5,6,7)", "(3,4,7)", "(2,4,6)",
+                                 "(5,7,6)", "(3,7,4)", "(2,6,4)"}, names)
+    return rep
 
 
-def dihedral_check(x: str, y: str, configs=None) -> list:
+def subgroup_order(letters) -> int:
+    """Orbit size of the solved state under the subgroup generated by the
+    given letters. The action is regular, so this is the subgroup order."""
+    return len(perm.bfs([SOLVED], letters, apply_move))
+
+
+def dihedral_check(x: str, y: str, table) -> list:
     """Verify the dihedral presentation of <X,Y> as maps on every
-    reachable config: X^2 = e, (XY)^6 = e, XY*X = X*(XY)^-1, order 12."""
-    from .report import Check
-
+    reachable rank: X^2 = e, (XY)^6 = e, XY*X = X*(XY)^-1, order 12.
+    Letters act through table.walk (a groups.DistanceTable)."""
     if x == y or x not in AXIS_BIT or y not in AXIS_BIT:
         raise ValueError(f"need two distinct move letters, got {x!r},{y!r}")
-    if configs is None:
-        configs = enumerate_reachable()
+    ranks = range(N_REACHABLE)
 
-    def holds_everywhere(word_a, word_b):
-        return all(apply_word(c, word_a) == apply_word(c, word_b)
-                   for c in configs)
+    def is_identity(word):
+        return all(table.walk(r, word) == r for r in ranks)
 
     # (XY)^-1 computed as the inverse of the XY action map, not by word
     # manipulation, so the braid relation check does not presuppose that
     # letters are involutions.
-    xy_inverse = {apply_word(c, x + y): c for c in configs}
-    braid = all(apply_word(apply_word(c, x + y), x)
-                == xy_inverse[apply_word(c, x)] for c in configs)
+    xy_inverse = {table.walk(r, x + y): r for r in ranks}
+    braid = all(table.walk(r, x + y + x) == xy_inverse[table.walk(r, x)]
+                for r in ranks)
 
-    checks = [
-        Check(f"{x}^2 = e", True, holds_everywhere(x + x, "")),
-        Check(f"({x}{y})^6 = e", True, holds_everywhere((x + y) * 6, "")),
+    return [
+        Check(f"{x}^2 = e", True, is_identity(x + x)),
+        Check(f"({x}{y})^6 = e", True, is_identity((x + y) * 6)),
         Check(f"{x}{y}.{x} = {x}.({x}{y})^-1", True, braid),
         Check(f"|<{x},{y}>| = 12", 12, subgroup_order(x + y)),
     ]
-    return checks
 
 
 def parse_config(text: str, cells: int = 8):

@@ -7,7 +7,7 @@ import argparse
 import json
 import sys
 
-from . import box, fifteen, groups, perm, solver, words
+from . import box, fifteen, groups, solver, words
 from .report import Report
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
@@ -30,23 +30,6 @@ def cmd_enumerate(args, out) -> int:
     return OK
 
 
-def _atoms_report() -> Report:
-    rep = Report("alternating-pair 3-cycles")
-    try:
-        atoms = box.three_cycle_atoms()
-    except ValueError as exc:
-        rep.add("atoms", "three 3-cycles, reversal inverts", f"error: {exc}")
-        return rep
-    for pair, p in sorted(atoms.items()):
-        rep.add(f"{''.join(pair)} cycle is a 3-cycle fixing piece 1", True,
-                p[0] == 0 and sum(1 for i in range(7) if p[i] != i) == 3,
-                note=perm.format_cycles(p))
-    names = {perm.format_cycles(p) for p in atoms.values()}
-    rep.add("unordered cycles", {"(5,6,7)", "(3,4,7)", "(2,4,6)",
-                                 "(5,7,6)", "(3,7,4)", "(2,6,4)"}, names)
-    return rep
-
-
 def build_verify_reports() -> list[Report]:
     table = groups.build_distance_table()
     z = groups.center(table)
@@ -54,16 +37,15 @@ def build_verify_reports() -> list[Report]:
     reports = [
         groups.verify_center_words(z),
         groups.verify_K_is_A7(kernel),
-        groups.verify_structure(table, z),
-        _atoms_report(),
+        groups.verify_structure(table, z, kernel),
+        box.atoms_report(),
         fifteen.family_report(),
         words.a5_report(),
         words.a6_report(),
     ]
     dihedral = Report("dihedral letter pairs")
-    configs = box.enumerate_reachable()
     for x, y in (("R", "U"), ("R", "B"), ("U", "B")):
-        dihedral.extend(box.dihedral_check(x, y, configs))
+        dihedral.extend(box.dihedral_check(x, y, table))
     reports.append(dihedral)
     return reports
 

@@ -202,23 +202,11 @@ class Solver:
     # -- optimal ------------------------------------------------------
 
     def solve_optimal(self, c) -> Solution:
-        """Distance-table descent: repeatedly apply the first letter (in
-        R,U,B order) that strictly decreases the BFS depth."""
+        """Distance-table descent (DistanceTable.descend), checked by
+        applying the word to the config."""
         if not box.is_reachable(c):
             raise ValueError("config is not reachable")
-        table = self.distance
-        r = box.rank(c)
-        letters = []
-        while table.depth[r] > 0:
-            for m in box.LETTERS:
-                nr = table.move_rank[m][r]
-                if table.depth[nr] == table.depth[r] - 1:
-                    letters.append(m)
-                    r = nr
-                    break
-            else:
-                raise AssertionError("no descending move; table corrupt")
-        word = "".join(letters)
+        word = self.distance.descend(box.rank(c))
         if box.apply_word(c, word) != box.SOLVED:
             raise AssertionError("optimal descent missed the solved state")
         return Solution("optimal", word, (("optimal", word),), box.SOLVED)

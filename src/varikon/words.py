@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from . import perm
-from .report import Report
+from .report import Check, Report
 
 A5_GENERATOR_CYCLES = ("(1,2,3)", "(3,4,5)")
 A6_GENERATOR_CYCLES = ("(1,2,3)", "(3,4,5)", "(5,6,1)")
@@ -113,8 +113,6 @@ def check_factorization(name: str, factors, expected_text: str, n: int):
     """Compose a quoted factorization under the left-to-right convention;
     if it misses, retry right-to-left and report which convention (if
     either) validates."""
-    from .report import Check
-
     expected = perm.parse_cycles(expected_text, n)
     l2r = compose_factors(factors, n)
     if l2r == expected:

@@ -58,16 +58,17 @@ def test_criterion_04_kernel(distance_table):
 
 def test_criterion_05_structure(distance_table, center_elements):
     t0 = time.perf_counter()
-    rep = groups.verify_structure(distance_table, center_elements)
+    rep = groups.verify_structure(distance_table, center_elements,
+                                  groups.subgroup_K(distance_table))
     elapsed = time.perf_counter() - t0
     assert rep.passed, [c.row() for c in rep.failures()]
     assert elapsed < 60.0, f"took {elapsed:.2f}s"
     print(f"criterion 5: structure checks (a)-(f) all pass, {elapsed:.2f}s")
 
 
-def test_criterion_06_dihedral_pairs(reachable_set):
+def test_criterion_06_dihedral_pairs(distance_table):
     for x, y in (("R", "U"), ("R", "B"), ("U", "B")):
-        checks = box.dihedral_check(x, y, reachable_set)
+        checks = box.dihedral_check(x, y, distance_table)
         assert all(c.passed for c in checks), [c.row() for c in checks]
     print("criterion 6: all three letter pairs generate D6, order 12")
 

@@ -47,8 +47,9 @@ def test_alternating_pairs_are_three_cycles():
     names = {perm.format_cycles(p) for p in atoms.values()}
     assert names == {"(5,6,7)", "(5,7,6)", "(3,4,7)", "(3,7,4)",
                      "(2,4,6)", "(2,6,4)"}
-    for p in atoms.values():
+    for (x, y), p in atoms.items():
         assert p[0] == 0  # piece 1 never moves
+        assert atoms[(y, x)] == perm.inverse(p)  # reversal inverts
 
 
 def test_phi_examples():
@@ -130,15 +131,15 @@ def test_subgroup_orders():
     assert box.subgroup_order("RUB") == box.N_REACHABLE
 
 
-def test_dihedral_relations_hold(reachable_set):
+def test_dihedral_relations_hold(distance_table):
     for x, y in (("R", "U"), ("R", "B"), ("U", "B")):
-        checks = box.dihedral_check(x, y, reachable_set)
+        checks = box.dihedral_check(x, y, distance_table)
         assert all(c.passed for c in checks), [c.row() for c in checks]
 
 
-def test_dihedral_check_needs_distinct_letters():
+def test_dihedral_check_needs_distinct_letters(distance_table):
     with pytest.raises(ValueError):
-        box.dihedral_check("R", "R")
+        box.dihedral_check("R", "R", distance_table)
 
 
 def test_config_text_round_trip():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varikon
-from varikon import cli, groups
+from varikon import box, cli, groups
 
 
 def run(capsys, *argv):
@@ -195,6 +195,20 @@ def test_verify_output_is_deterministic(fmt):
         outs.append(out)
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[0]).hexdigest() == VERIFY_SHA256[fmt]
+
+
+def test_verify_builds_each_table_once(distance_table):
+    # verify stays in rank space on one distance table: no tuple
+    # enumeration, and the kernel is built once and shared
+    build = mock.Mock(return_value=distance_table)
+    kernel = mock.Mock(wraps=groups.subgroup_K)
+    enumerate_ = mock.Mock(wraps=box.enumerate_reachable)
+    with mock.patch.object(groups, "build_distance_table", build), \
+            mock.patch.object(groups, "subgroup_K", kernel), \
+            mock.patch.object(box, "enumerate_reachable", enumerate_):
+        cli.build_verify_reports()
+    assert (build.call_count, kernel.call_count,
+            enumerate_.call_count) == (1, 1, 0)
 
 
 # Exit-code contract: 0 ok, 1 check failed, 2 input error (returned, or

@@ -48,7 +48,7 @@ def test_word_to_is_a_shortest_witness(distance_table):
     rng = random.Random(4)
     for _ in range(300):
         c = box.unrank(rng.randrange(box.N_REACHABLE))
-        w = distance_table.word_to(c)
+        w = distance_table.word_to(box.rank(c))
         assert box.apply_word(box.SOLVED, w) == c
         assert len(w) == distance_table.depth_of(c)
 
@@ -91,9 +91,10 @@ def test_phi_factors_through_canon(distance_table):
     for _ in range(100):
         w = "".join(rng.choice(box.LETTERS) for _ in range(rng.randrange(20)))
         canon = box.apply_word(box.SOLVED, w)
-        assert box.phi(w) == box.phi(distance_table.word_to(canon))
+        assert box.phi(w) == box.phi(distance_table.word_to(box.rank(canon)))
 
 
 def test_structure_report(distance_table, center_elements):
-    rep = groups.verify_structure(distance_table, center_elements)
+    kernel = groups.subgroup_K(distance_table)
+    rep = groups.verify_structure(distance_table, center_elements, kernel)
     assert rep.passed, [c.row() for c in rep.failures()]

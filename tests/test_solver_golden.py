@@ -42,3 +42,15 @@ def test_exhaustive_solutions_match_golden(box_solver, all_configs,
         total += len(moves)
         digest.update((moves + "\n").encode())
     assert (total, digest.hexdigest()) == GOLDEN[(mode, method)]
+
+
+# sha256 of solve_optimal's moves joined one per line, ranks 0..20159
+OPTIMAL_SHA256 = ("e388603cfd29cb7a5e19f464af6d65eb"
+                  "ac6cc3bc7b4cc5dd4557dba964eece70")
+
+
+def test_exhaustive_optimal_solutions_match_golden(box_solver, all_configs):
+    digest = hashlib.sha256()
+    for c in all_configs:
+        digest.update((box_solver.solve_optimal(c).moves + "\n").encode())
+    assert digest.hexdigest() == OPTIMAL_SHA256
