@@ -126,14 +126,26 @@ def unrank(r: int):
     b, half = divmod(r, 2520)
     lex = 2 * half
     pool = [1, 2, 3, 4, 5, 6, 7]
-    seq = []
+    seq, inversions = [], 0  # Lehmer digits sum to the inversion count
     for i in range(7):
         digit, lex = divmod(lex, _FACT[6 - i])
+        inversions += digit
         seq.append(pool.pop(digit))
-    if perm.parity(tuple(v - 1 for v in seq)) != _seq_parity_for_blank(b):
+    if inversions % 2 != _seq_parity_for_blank(b):
         seq[-1], seq[-2] = seq[-2], seq[-1]
     seq.insert(b, BLANK)
     return tuple(seq)
+
+
+def move_tables() -> dict[str, list[int]]:
+    """{letter: row}, row[r] the rank one move away from rank r. No config
+    is ranked: the configs are generated in rank order and looked up."""
+    even = [tuple(v + 1 for v in p) for p in sorted(perm.all_even(7))]
+    by_parity = (even, [s[:5] + s[:4:-1] for s in even])  # both in lex order
+    configs = [s[:b] + (BLANK,) + s[b:]  # rank b * 2520 + lex index // 2
+               for b in range(8) for s in by_parity[_seq_parity_for_blank(b)]]
+    index = {c: r for r, c in enumerate(configs)}
+    return {m: [index[apply_move(c, m)] for c in configs] for m in LETTERS}
 
 
 def random_reachable(seed: int):

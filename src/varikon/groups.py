@@ -17,6 +17,7 @@ involved keeps the blank in one place.
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from . import box, perm
 from .report import Check, Report
@@ -26,6 +27,7 @@ from .report import Check, Report
 class GroupElement:
     canon: tuple
     witness: str
+    rank: int | None = None  # box.rank(canon), when the maker knows it
 
 
 IDENTITY = GroupElement(box.SOLVED, "")
@@ -55,21 +57,20 @@ class DistanceTable:
     ranks), indexed by the perfect-hash rank of each reachable config."""
 
     def __init__(self):
-        move_rank = {m: [0] * box.N_REACHABLE for m in box.LETTERS}
-        for r in range(box.N_REACHABLE):
-            c = box.unrank(r)
-            for m in box.LETTERS:
-                move_rank[m][r] = box.rank(box.apply_move(c, m))
-        self.move_rank = move_rank
-
-        depth = [-1] * box.N_REACHABLE
-        tree = perm.bfs([box.rank(box.SOLVED)], box.LETTERS,
-                        lambda r, m: move_rank[m][r])
-        for r, (prev, _) in tree.items():  # parents come before children
-            depth[r] = 0 if prev is None else depth[prev] + 1
-        if min(depth) < 0:
+        self.move_rank = move_rank = box.move_tables()
+        root = box.rank(box.SOLVED)
+        tree = perm.bfs([root], box.LETTERS, lambda r, m: move_rank[m][r])
+        if len(tree) != box.N_REACHABLE:
             raise AssertionError("BFS did not reach every rank")
-        self.depth = depth
+        # left_rank[m][r]: the rank of m + (the BFS-tree word to r); m's
+        # move at the root, the parent's entry moved by the label below it
+        self.depth = depth = [0] * box.N_REACHABLE
+        self.left_rank = left = {m: [row[root]] * box.N_REACHABLE
+                                 for m, row in move_rank.items()}
+        for r, (prev, label) in islice(tree.items(), 1, None):  # parents first
+            depth[r] = depth[prev] + 1
+            for row in left.values():
+                row[r] = move_rank[label][row[prev]]
         self.max_depth = max(depth)
 
     def histogram(self) -> list[tuple[int, int]]:
@@ -105,6 +106,13 @@ class DistanceTable:
             r = mr[letter][r]
         return r
 
+    def left_walk(self, r: int, word: str) -> int:
+        """The rank of word + word_to(r): left_rank, last letter first."""
+        lr = self.left_rank
+        for letter in reversed(word):
+            r = lr[letter][r]
+        return r
+
 
 def build_distance_table() -> DistanceTable:
     """God's algorithm: exhaustive BFS (perm.bfs) over the Cayley graph."""
@@ -118,17 +126,12 @@ def center(table: DistanceTable) -> list[GroupElement]:
     (sufficient, since the letters generate the whole group).
 
     g commutes with letter m iff the words (witness + m) and
-    (m + witness) land on the same config from the solved state; both
-    sides are walked in rank space.
+    (m + witness) land on the same rank: move_rank against left_rank.
     """
-    root = box.rank(box.SOLVED)
-    out = []
-    for r in range(box.N_REACHABLE):
-        w = table.word_to(r)
-        if all(table.walk(r, m) == table.walk(root, m + w)
-               for m in box.LETTERS):
-            out.append(GroupElement(box.unrank(r), w))
-    return out
+    mr, lr = table.move_rank, table.left_rank
+    return [GroupElement(box.unrank(r), table.word_to(r), r)
+            for r in range(box.N_REACHABLE)
+            if all(mr[m][r] == lr[m][r] for m in box.LETTERS)]
 
 
 # The three 18-move words realizing the nontrivial central elements;
@@ -155,7 +158,7 @@ def verify_center_words(center_elements) -> Report:
     rep.add("|Z|", 4, len(center_elements))
     for z in center_elements:
         if z.canon != box.SOLVED:
-            rep.add(f"order of center element at rank {box.rank(z.canon)}",
+            rep.add(f"order of center element at rank {z.rank}",
                     box.SOLVED, multiply(z, z).canon, note="order 2")
 
     word_canons = set()
@@ -190,7 +193,7 @@ def verify_center_words(center_elements) -> Report:
 def subgroup_K(table: DistanceTable) -> list[GroupElement]:
     """The kernel of the parity-vector homomorphism: elements whose
     canon keeps the blank home."""
-    return [GroupElement(box.unrank(r), table.word_to(r))
+    return [GroupElement(box.unrank(r), table.word_to(r), r)
             for r in range(7 * 2520, 8 * 2520)]  # blank cell 7 block
 
 
@@ -222,18 +225,17 @@ def verify_structure(table: DistanceTable, center_elements, kernel) -> Report:
     rep.add("(a) K intersect <R>", {box.SOLVED}, k_canons & r_subgroup)
 
     # (b) the product set K<R> has order 5040
-    k_ranks = {box.rank(c) for c in k_canons}
+    k_ranks = {k.rank for k in kernel}
     kr_ranks = k_ranks | {table.walk(r, "R") for r in k_ranks}
     rep.add("(b) |K<R>|", 5040, len(kr_ranks))
 
     # (c) K<R> meets the center trivially
-    z_canons = {z.canon for z in center_elements}
     rep.add("(c) K<R> intersect Z", {box.SOLVED},
-            {c for c in z_canons if box.rank(c) in kr_ranks})
+            {z.canon for z in center_elements if z.rank in kr_ranks})
 
     # (d) order bookkeeping |K<R>| * |Z| = |G|
     rep.add("(d) |K<R>| * |Z|", box.N_REACHABLE,
-            len(kr_ranks) * len(z_canons))
+            len(kr_ranks) * len(center_elements))
     rep.add("(d) |G| from the regular action", box.N_REACHABLE,
             len(table.depth))
 
@@ -248,18 +250,13 @@ def verify_structure(table: DistanceTable, center_elements, kernel) -> Report:
     # commutation, so the canon built from the cycle image serves)
     gen_words = ["R"] + [table.word_to(box.rank(config_of(p)))
                          for p in kgen_perms]
-    root = box.rank(box.SOLVED)
-    closure = perm.bfs([root], gen_words, table.walk)
+    closure = perm.bfs([box.rank(box.SOLVED)], gen_words, table.walk)
     rep.add("(e) closure of R + the 3-cycles equals K<R>", True,
             closure.keys() == kr_ranks)
 
-    gen_roots = [table.walk(root, w) for w in gen_words]
-    central = []
-    for r in sorted(kr_ranks):
-        w = table.word_to(r)
-        if all(table.walk(r, gw) == table.walk(gr, w)
-               for gw, gr in zip(gen_words, gen_roots)):
-            central.append(box.unrank(r))
+    central = [box.unrank(r) for r in sorted(kr_ranks)
+               if all(table.walk(r, gw) == table.left_walk(r, gw)
+                      for gw in gen_words)]
     rep.add("(e) center of K<R>", [box.SOLVED], central)
 
     # (f) Z is a Klein four-group

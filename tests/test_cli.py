@@ -211,6 +211,20 @@ def test_verify_builds_each_table_once(distance_table):
             enumerate_.call_count) == (1, 1, 0)
 
 
+def test_heuristic_solve_builds_no_distance_table(capsys):
+    # a cold heuristic solve must not pay for the 20,160-rank table
+    build = mock.Mock(side_effect=AssertionError("distance table built"))
+    with mock.patch.object(groups, "build_distance_table", build):
+        for method in ("a6", "a5"):
+            for target in ("strict", "center", "rotation"):
+                code, out, _ = run(capsys, "solve", "--random", "--seed",
+                                   "4", "--method", method, "--target",
+                                   target)
+                assert code == cli.OK
+                assert json.loads(out)["method"] == f"heuristic-{method}"
+    assert build.call_count == 0
+
+
 # Exit-code contract: 0 ok, 1 check failed, 2 input error (returned, or
 # raised as SystemExit by argparse); no other exception escapes.
 _TOKENS = st.one_of(

@@ -44,6 +44,19 @@ def test_neighboring_depths_differ_by_one(distance_table):
             assert abs(distance_table.depth[r] - distance_table.depth[nr]) == 1
 
 
+def test_move_tables_match_tuple_moves(distance_table):
+    # the tuple route the tables are built without: unrank, move, rank
+    for m in box.LETTERS:
+        assert distance_table.move_rank[m] == [
+            box.rank(box.apply_move(box.unrank(r), m))
+            for r in range(box.N_REACHABLE)]
+    rng = random.Random(5)
+    for r in rng.sample(range(box.N_REACHABLE), 2000):
+        for m in box.LETTERS:
+            left = box.apply_word(box.SOLVED, m + distance_table.word_to(r))
+            assert distance_table.left_rank[m][r] == box.rank(left)
+
+
 def test_word_to_is_a_shortest_witness(distance_table):
     rng = random.Random(4)
     for _ in range(300):
