@@ -1,10 +1,11 @@
 """Command-line surface: enumeration, verification, word tables, solving.
 
-Exit codes: 0 ok, 1 check-failed, 2 input-error.
+Exit codes: 0 ok, 1 check-failed or stdout closed early, 2 input-error.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import box, fifteen, groups, solver, words
@@ -33,9 +34,9 @@ def cmd_enumerate(args, out) -> int:
 def build_verify_reports() -> list[Report]:
     table = groups.build_distance_table()
     z = groups.center(table)
-    kernel = groups.subgroup_K(table)
+    kernel = groups.subgroup_K()
     reports = [
-        groups.verify_center_words(z),
+        groups.verify_center_words(table, z),
         groups.verify_K_is_A7(kernel),
         groups.verify_structure(table, z, kernel),
         box.atoms_report(),
@@ -195,7 +196,15 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _DISPATCH[args.command](args, sys.stdout)
+    try:
+        code = _DISPATCH[args.command](args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:  # the reader left: `varikon verify | head -1`
+        # point stdout at devnull so the final flush cannot raise again,
+        # and exit 1 as Python's SIGPIPE recipe does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CHECK_FAILED
+    return code
 
 
 if __name__ == "__main__":

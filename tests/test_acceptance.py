@@ -43,15 +43,15 @@ def test_criterion_02_gods_number_and_histogram():
     print(f"criterion 2: max depth 19, histogram matches golden, {elapsed:.2f}s")
 
 
-def test_criterion_03_center(center_elements):
+def test_criterion_03_center(distance_table, center_elements):
     assert len(center_elements) == 4
-    rep = groups.verify_center_words(center_elements)
+    rep = groups.verify_center_words(distance_table, center_elements)
     assert rep.passed, [c.row() for c in rep.failures()]
     print("criterion 3: |Z| = 4, order-2 elements, words and images verified")
 
 
 def test_criterion_04_kernel(distance_table):
-    rep = groups.verify_K_is_A7(groups.subgroup_K(distance_table))
+    rep = groups.verify_K_is_A7(groups.subgroup_K())
     assert rep.passed, [c.row() for c in rep.failures()]
     print("criterion 4: |K| = 2520, piece permutations = all even 7-perms")
 
@@ -59,7 +59,7 @@ def test_criterion_04_kernel(distance_table):
 def test_criterion_05_structure(distance_table, center_elements):
     t0 = time.perf_counter()
     rep = groups.verify_structure(distance_table, center_elements,
-                                  groups.subgroup_K(distance_table))
+                                  groups.subgroup_K())
     elapsed = time.perf_counter() - t0
     assert rep.passed, [c.row() for c in rep.failures()]
     assert elapsed < 60.0, f"took {elapsed:.2f}s"

@@ -197,6 +197,24 @@ def test_verify_output_is_deterministic(fmt):
     assert hashlib.sha256(outs[0]).hexdigest() == VERIFY_SHA256[fmt]
 
 
+def test_closed_stdout_prints_no_traceback():
+    # `varikon verify | head -1`: the text report (about 120 kB) outgrows
+    # the pipe buffer, so the writer is still printing when the reader
+    # leaves
+    src = str(Path(varikon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "varikon", "verify"],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"== ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) in (cli.OK, cli.CHECK_FAILED,
+                                      cli.INPUT_ERROR)
+    assert err == b""
+
+
 def test_verify_builds_each_table_once(distance_table):
     # verify stays in rank space on one distance table: no tuple
     # enumeration, and the kernel is built once and shared

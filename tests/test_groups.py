@@ -1,4 +1,4 @@
-"""Group elements over the regular action, BFS distances, structure checks."""
+"""Group elements as ranks, BFS distances, structure checks."""
 
 import random
 
@@ -11,26 +11,48 @@ FROZEN_HISTOGRAM = [
 ]
 
 
-def test_multiply_basics():
-    g = groups.element("RBRB")
-    assert groups.multiply(groups.IDENTITY, g).canon == g.canon
-    r = groups.element("R")
-    assert groups.multiply(r, r).canon == box.SOLVED
-    square = groups.multiply(g, g)
-    assert square.canon == box.apply_word(box.SOLVED, "RBRBRBRB")
-    assert perm.format_cycles(box.piece_perm(square.canon)) == "(5,7,6)"
+def test_multiply_basics(distance_table):
+    t = distance_table
+    g = t.walk(t.root, "RBRB")
+    assert t.walk(t.root, t.word_to(g)) == g
+    r = t.walk(t.root, "R")
+    assert t.walk(r, t.word_to(r)) == t.root
+    square = t.walk(g, t.word_to(g))
+    assert box.unrank(square) == box.apply_word(box.SOLVED, "RBRBRBRB")
+    assert perm.format_cycles(box.piece_perm(box.unrank(square))) == "(5,7,6)"
 
 
-def test_commutes_is_symmetric_on_examples():
-    g = groups.element("RBRB")
-    h = groups.element("RURU")
-    assert groups.commutes(g, g)
-    assert groups.commutes(g, h) == groups.commutes(h, g)
+def test_commutes_is_symmetric_on_examples(distance_table):
+    t = distance_table
+    g = t.walk(t.root, "RBRB")
+    h = t.walk(t.root, "RURU")
+    assert t.commutes(g, t.word_to(g))
+    assert t.commutes(g, t.word_to(h)) == t.commutes(h, t.word_to(g))
+
+
+def test_commutes_matches_the_tuple_route(distance_table):
+    # the route the rank test replaced: replay both products on tuples.
+    # Half the pairs lie in one dihedral <X,Y> of order 12, where about
+    # half of all pairs commute, so both answers are exercised.
+    rng = random.Random(13)
+    answers = set()
+    for i in range(500):
+        letters = rng.sample(box.LETTERS, 2) if i % 2 else box.LETTERS
+        word, w = ("".join(rng.choice(letters)
+                           for _ in range(rng.randrange(25)))
+                   for _ in range(2))
+        r = distance_table.walk(distance_table.root, word)
+        g = distance_table.word_to(r)
+        expected = (box.apply_word(box.SOLVED, g + w)
+                    == box.apply_word(box.SOLVED, w + g))
+        assert distance_table.commutes(r, w) == expected, (r, w)
+        answers.add(expected)
+    assert answers == {True, False}
 
 
 def test_depths(distance_table):
-    assert distance_table.depth_of(box.SOLVED) == 0
-    assert distance_table.depth_of(box.apply_word(box.SOLVED, "RBRB")) <= 4
+    assert distance_table.depth[box.rank(box.SOLVED)] == 0
+    assert distance_table.depth[box.rank(box.apply_word(box.SOLVED, "RBRB"))] <= 4
     assert distance_table.max_depth == 19
     assert distance_table.histogram() == FROZEN_HISTOGRAM
 
@@ -63,18 +85,19 @@ def test_word_to_is_a_shortest_witness(distance_table):
         c = box.unrank(rng.randrange(box.N_REACHABLE))
         w = distance_table.word_to(box.rank(c))
         assert box.apply_word(box.SOLVED, w) == c
-        assert len(w) == distance_table.depth_of(c)
+        assert len(w) == distance_table.depth[box.rank(c)]
 
 
-def test_center_is_identity_plus_half_turns(center_elements):
-    canons = {z.canon for z in center_elements}
+def test_center_is_identity_plus_half_turns(distance_table, center_elements):
+    canons = {box.unrank(z) for z in center_elements}
     assert canons == {box.SOLVED} | {groups.half_turn_image(m) for m in (3, 5, 6)}
     for z in center_elements:
-        assert box.apply_word(box.SOLVED, z.witness) == z.canon
+        assert (box.apply_word(box.SOLVED, distance_table.word_to(z))
+                == box.unrank(z))
 
 
-def test_center_words_report(center_elements):
-    rep = groups.verify_center_words(center_elements)
+def test_center_words_report(distance_table, center_elements):
+    rep = groups.verify_center_words(distance_table, center_elements)
     assert rep.passed, [c.row() for c in rep.failures()]
 
 
@@ -85,17 +108,18 @@ def test_half_turn_images():
 
 
 def test_kernel_report(distance_table):
-    kernel = groups.subgroup_K(distance_table)
+    kernel = groups.subgroup_K()
     rep = groups.verify_K_is_A7(kernel)
     assert rep.passed, [c.row() for c in rep.failures()]
 
 
 def test_kernel_is_normal_on_samples(distance_table):
-    kernel = groups.subgroup_K(distance_table)
+    kernel = groups.subgroup_K()
     rng = random.Random(11)
     for k in rng.sample(kernel, 40):
         for x in box.LETTERS:
-            conj = box.apply_word(box.SOLVED, x + k.witness + x)
+            conj = box.apply_word(box.SOLVED,
+                                  x + distance_table.word_to(k) + x)
             assert box.blank_cell(conj) == 7
 
 
@@ -108,6 +132,6 @@ def test_phi_factors_through_canon(distance_table):
 
 
 def test_structure_report(distance_table, center_elements):
-    kernel = groups.subgroup_K(distance_table)
+    kernel = groups.subgroup_K()
     rep = groups.verify_structure(distance_table, center_elements, kernel)
     assert rep.passed, [c.row() for c in rep.failures()]

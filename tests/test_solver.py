@@ -129,7 +129,7 @@ def test_optimal_length_matches_bfs_depth(box_solver, distance_table):
     for _ in range(300):
         c = box.unrank(rng.randrange(box.N_REACHABLE))
         sol = box_solver.solve_optimal(c)
-        assert sol.total == distance_table.depth_of(c)
+        assert sol.total == distance_table.depth[box.rank(c)]
         assert box.apply_word(c, sol.moves) == box.SOLVED
 
 
