@@ -55,7 +55,7 @@ def cmd_verify(args, out) -> int:
     reports = build_verify_reports()
     failed = 0
     if args.format == "json":
-        payload = [json.loads(r.to_json()) for r in reports]
+        payload = [r.row() for r in reports]
         failed = sum(not r.passed for r in reports)
         print(json.dumps(payload, indent=2), file=out)
     else:

@@ -1,6 +1,5 @@
 """Small pass/fail reporting structures shared by the verification ops."""
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -50,10 +49,9 @@ class Report:
     def failures(self) -> list:
         return [c for c in self.checks if not c.passed]
 
-    def to_json(self) -> str:
-        return json.dumps({"title": self.title, "pass": self.passed,
-                           "checks": [c.row() for c in self.checks]},
-                          indent=2)
+    def row(self) -> dict:
+        return {"title": self.title, "pass": self.passed,
+                "checks": [c.row() for c in self.checks]}
 
     def lines(self) -> list[str]:
         out = []

@@ -11,8 +11,10 @@ moves. Only rotations whose rotated-solved image is itself reachable
 are usable (half of the 24), which constrains where the blank may sit
 after setup; the setup search therefore deepens past the nominal two
 moves when required. Whether a state ends a setup depends only on the
-blank's cell and piece 1's cell, so the setup words come from a per-mode
-table of shortest words over those 56 (blank, piece-1) pairs.
+blank's cell and piece 1's cell, and a word moves cells the same way on
+every config with the same blank cell, so each mode's setup candidates
+are a table, built once, of (word, cell map, frame) per (blank, piece-1)
+pair; a solve only reads the end state off the cell map.
 
 Three solve targets are supported:
   strict   - the solved state itself (identity rotation only);
@@ -21,8 +23,8 @@ Three solve targets are supported:
   rotation - solved up to any reachable whole-box rotation.
 """
 
-import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 
 from . import box, groups, perm, words
@@ -116,41 +118,33 @@ def relabel_map() -> Relabel:
     the one with the fewest inverted matches (then least image tuple) is
     taken, so the choice is deterministic.
     """
-    gens = [perm.parse_cycles(t, 6) for t in words.A6_GENERATOR_CYCLES]
-    gen_invs = [perm.inverse(g) for g in gens]
+    signed = {}  # generator k -> +k, its inverse -> -k
+    for k, text in enumerate(words.A6_GENERATOR_CYCLES, start=1):
+        g = perm.parse_cycles(text, 6)
+        signed[g], signed[perm.inverse(g)] = k, -k
     atoms = box.three_cycle_atoms()
-    sigmas = {pair: _atom_on_six(atoms[pair]) for pair in _SUBPROBLEM_PAIRS}
+    sigmas = [_atom_on_six(atoms[pair]) for pair in _SUBPROBLEM_PAIRS]
 
     candidates = []
     for bimg in permutations(range(6)):
-        assign = {}
-        ok = True
-        for pair, sigma in sigmas.items():
+        hits = []
+        for sigma in sigmas:
             conj = [0] * 6
             for i in range(6):
                 conj[bimg[i]] = bimg[sigma[i]]
-            conj = tuple(conj)
-            hit = None
-            for gi, (g, g_inv) in enumerate(zip(gens, gen_invs), start=1):
-                if conj == g:
-                    hit = (gi, False)
-                elif conj == g_inv:
-                    hit = (gi, True)
-            if hit is None or hit[0] in (v[0] for v in assign.values()):
-                ok = False
+            hit = signed.get(tuple(conj))
+            if hit is None or -hit in hits or hit in hits:
                 break
-            assign[pair] = hit
-        if ok:
-            inverted = sum(1 for v in assign.values() if v[1])
-            candidates.append((inverted, bimg, assign))
+            hits.append(hit)
+        else:
+            candidates.append((sum(hit < 0 for hit in hits), bimg, hits))
     if not candidates:
         raise AssertionError("no bijection conjugates the pair cycles "
                              "onto the generators; move semantics broken")
-    _, bimg, assign = min(candidates)
+    _, bimg, hits = min(candidates)
     pair_for_gen = [None, None, None]
-    for pair, (gi, flipped) in assign.items():
-        x, y = pair
-        pair_for_gen[gi - 1] = (y, x) if flipped else (x, y)
+    for (x, y), hit in zip(_SUBPROBLEM_PAIRS, hits):
+        pair_for_gen[abs(hit) - 1] = (y, x) if hit < 0 else (x, y)
     return Relabel(bimg, tuple(pair_for_gen))
 
 
@@ -174,7 +168,7 @@ class Solution:
 class Solver:
     """Holds the built tables; all solve calls are pure given them."""
 
-    def __init__(self, distance_table=None):
+    def __init__(self):
         self.table5 = words.build_a5_table()
         self.table6 = words.build_a6_table()
         self.relabel = relabel_map()
@@ -191,13 +185,10 @@ class Solver:
             [(prefix, self.table6.compose_word(prefix[::-1]))
              for prefix in product(self._PREFIX_ALPHABET, repeat=plen)]
             for plen in range(3)]
-        self._distance = distance_table
 
-    @property
+    @cached_property
     def distance(self):
-        if self._distance is None:
-            self._distance = groups.build_distance_table()
-        return self._distance
+        return groups.build_distance_table()
 
     # -- optimal ------------------------------------------------------
 
@@ -212,12 +203,6 @@ class Solver:
         return Solution("optimal", word, (("optimal", word),), box.SOLVED)
 
     # -- setup --------------------------------------------------------
-
-    def _admissible_frames(self, state, mode: str) -> list[Rotation]:
-        b = box.blank_cell(state)
-        if state[b ^ 7] != 1:
-            return []
-        return self._frames(b, mode)
 
     def _frames(self, b: int, mode: str) -> list[Rotation]:
         """Frames of the mode usable with the blank in cell b and piece 1
@@ -250,38 +235,30 @@ class Solver:
         """
         if not box.is_reachable(c):
             raise ValueError("config is not reachable")
-        table = self._setup_words(mode)
-        seen = set()
-        candidates = []
-        # Each word reuses the states along the prefix it shares with the
-        # word before it. Words reaching the same state (e.g. RBRBRB and
-        # BRBRBR) keep the first in R,U,B order, as a breadth-first search
-        # would.
-        path = [c]
-        for w, shared in table[box.blank_cell(c), c.index(1)]:
-            del path[shared + 1:]
-            for m in w[shared:]:
-                path.append(box.apply_move(path[-1], m))
-            s = path[-1]
-            if s in seen:
-                continue
-            seen.add(s)
-            for rot in self._admissible_frames(s, mode):
-                a = self.residual_abstract(s, rot)
-                key = (len(self.table6.word_of(perm.inverse(a))), w,
-                       rot.bit_perm, rot.mask)
-                candidates.append((key, w, s, rot, a))
-        _, w, s, rot, a = min(candidates)
-        return w, s, rot, a
+        best = None
+        for w, cells, rot in self._setup_words(mode)[box.blank_cell(c),
+                                                     c.index(1)]:
+            s = tuple(c[i] for i in cells)
+            a = self.residual_abstract(s, rot)
+            n = self.table6.length_of(a)
+            if best is None or n < best[0]:
+                best = n, w, s, rot, a
+        return best[1:]
 
     def _setup_words(self, mode: str) -> dict:
-        """(blank cell, piece-1 cell) -> every shortest setup word for the
-        mode in R,U,B-lexicographic order, each with the length of the
-        prefix it shares with the word before it; built once per mode."""
+        """(blank cell, piece-1 cell) -> (word, cells, frame) for every
+        shortest setup word of the mode and every frame admitted where the
+        word leaves the blank, sorted by (word, bit_perm, mask); built
+        once per mode."""
         table = self._setup_tables.get(mode)
         if table is None:
             goals = [(b, b ^ 7) for b in range(8) if self._frames(b, mode)]
-            table = self._setup_tables[mode] = _shortest_pair_words(goals)
+            table = self._setup_tables[mode] = {
+                (b, p): sorted(
+                    ((w, cells, rot) for w, cells in entries
+                     for rot in self._frames(cells.index(b), mode)),
+                    key=lambda e: (e[0], e[2].bit_perm, e[2].mask))
+                for (b, p), entries in _shortest_pair_words(goals).items()}
         return table
 
     # -- expansion ----------------------------------------------------
@@ -290,12 +267,10 @@ class Solver:
         """Physical moves for abstract letters performed in order: each
         letter becomes its alternating pair XYXY, conjugated through the
         frame rotation."""
-        out = []
-        for s in performed:
-            x, y = self.relabel.expansion_pair(s)
-            for frame_letter in (x, y, x, y):
-                out.append(rot.frame_letter_to_physical(frame_letter))
-        return "".join(out)
+        pairs = "".join(2 * "".join(self.relabel.expansion_pair(s))
+                        for s in performed)
+        return pairs.translate({ord(m): rot.frame_letter_to_physical(m)
+                                for m in box.LETTERS})
 
     def _finish(self, c, method, setup_word, phys, rot) -> Solution:
         moves = setup_word + phys
@@ -361,7 +336,6 @@ class Solver:
         inside the solve calls.
         """
         table = self.distance
-        t0 = time.perf_counter()
         rows = []
         for r in range(box.N_REACHABLE):
             c = box.unrank(r)
@@ -373,7 +347,6 @@ class Solver:
             "configs": len(rows),
             "optimal_max": max(row[1] for row in rows),
             "optimal_mean": sum(row[1] for row in rows) / len(rows),
-            "elapsed_s": round(time.perf_counter() - t0, 3),
         }
         for label, col in (("a6", 2), ("a5", 3)):
             if label in methods:
@@ -397,19 +370,25 @@ def _pair_move(pair, m: str):
 
 def _shortest_pair_words(goals) -> dict:
     """Every shortest word from each (blank, piece-1) pair to the goal
-    pairs, R,U,B-lexicographic, as (word, length of the prefix shared with
-    the word before it). Moves are involutions, so a BFS out of the goals
-    gives each pair's distance to them."""
+    pairs, R,U,B-lexicographic, as (word, cells): the word takes a config
+    c with that blank cell to tuple(c[i] for i in cells). Of the words
+    with one cell map, which reach one state from every such config (e.g.
+    RBRBRB and BRBRBR), only the first is kept, as a breadth-first search
+    would. Moves are involutions, so a BFS out of the goals gives each
+    pair's distance to them."""
     dist = {}
     for pair, (prev, _) in perm.bfs(goals, box.LETTERS, _pair_move).items():
         dist[pair] = 0 if prev is None else dist[prev] + 1
-    table = {}
-    for pair in sorted(dist, key=dist.get):
-        if dist[pair] == 0:
-            table[pair] = (("", 0),)
-            continue
-        table[pair] = tuple(
-            (m + w, shared + 1 if i else 0) for m in box.LETTERS
-            if dist[_pair_move(pair, m)] == dist[pair] - 1
-            for i, (w, shared) in enumerate(table[_pair_move(pair, m)]))
+    table = {goal: (("", tuple(range(8))),) for goal in goals}
+    for pair in sorted(dist.keys() - table.keys(), key=dist.get):
+        first = {}  # cells -> first word
+        for m in box.LETTERS:
+            nxt = _pair_move(pair, m)
+            if dist[nxt] == dist[pair] - 1:
+                # m swaps the blank's cell with nxt's before w acts
+                swap = {pair[0]: nxt[0], nxt[0]: pair[0]}
+                for w, cells in table[nxt]:
+                    first.setdefault(tuple(swap.get(i, i) for i in cells),
+                                     m + w)
+        table[pair] = tuple((w, cells) for cells, w in first.items())
     return table

@@ -128,9 +128,8 @@ def check_factorization(name: str, factors, expected_text: str, n: int):
                       f"{perm.format_cycles(r2l)}")
 
 
-def a5_report(table: WordTable | None = None) -> Report:
-    if table is None:
-        table = build_a5_table()
+def a5_report() -> Report:
+    table = build_a5_table()
     rep = Report("A5 word table")
     rep.add("table size", 60, len(table))
     rep.add("max word length", 6, table.max_length())
@@ -147,9 +146,8 @@ def a5_report(table: WordTable | None = None) -> Report:
     return rep
 
 
-def a6_report(table: WordTable | None = None) -> Report:
-    if table is None:
-        table = build_a6_table()
+def a6_report() -> Report:
+    table = build_a6_table()
     rep = Report("A6 word table")
     rep.add("table size", 360, len(table))
     rep.add("max word length", 5, table.max_length())

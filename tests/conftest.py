@@ -29,6 +29,5 @@ def a6_table():
 
 
 @pytest.fixture(scope="session")
-def box_solver(distance_table):
-    # share the session BFS table so the solver does not rebuild it
-    return solver.Solver(distance_table)
+def box_solver():
+    return solver.Solver()

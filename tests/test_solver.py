@@ -1,6 +1,5 @@
 """Heuristic and optimal solving: relabeling, frames, sweeps, pinned lengths."""
 
-import os
 import random
 
 import pytest
@@ -75,7 +74,10 @@ def _reference_setup(s, c, mode):
     while True:
         candidates = []
         for w, state in layer:
-            for rot in s._admissible_frames(state, mode):
+            b = box.blank_cell(state)
+            if state[b ^ 7] != 1:
+                continue
+            for rot in s._frames(b, mode):
                 a = s.residual_abstract(state, rot)
                 key = (len(s.table6.word_of(perm.inverse(a))), w,
                        rot.bit_perm, rot.mask)
@@ -93,21 +95,43 @@ def _reference_setup(s, c, mode):
         layer = nxt
 
 
-@pytest.mark.parametrize("mode,total,per_pair,depth", (
-    ("strict", 208, 24, 11), ("center", 160, 12, 5), ("rotation", 160, 12, 5)))
-def test_setup_word_table(box_solver, mode, total, per_pair, depth):
+@pytest.mark.parametrize("mode,total,n_words,per_pair,depth", (
+    ("strict", 194, 194, 19, 11), ("center", 160, 160, 12, 5),
+    ("rotation", 480, 160, 36, 5)))
+def test_setup_word_table(box_solver, mode, total, n_words, per_pair,
+                          depth):
     table = box_solver._setup_words(mode)
     assert len(table) == 56
     assert sum(len(entries) for entries in table.values()) == total
+    assert sum(len({w for w, _, _ in entries})
+               for entries in table.values()) == n_words
     assert max(len(entries) for entries in table.values()) == per_pair
-    assert max(len(w) for entries in table.values() for w, _ in entries) == depth
+    assert max(len(w) for entries in table.values()
+               for w, _, _ in entries) == depth
     for entries in table.values():
-        ws = [w for w, _ in entries]
-        assert len({len(w) for w in ws}) == 1
-        assert ws == sorted(set(ws), key=lambda w: [box.LETTERS.index(m)
-                                                    for m in w])
-        assert [shared for _, shared in entries] == [
-            len(os.path.commonprefix(p)) for p in zip([""] + ws, ws)]
+        assert len({len(w) for w, _, _ in entries}) == 1
+        keys = [(w, rot.bit_perm, rot.mask) for w, _, rot in entries]
+        assert keys == sorted(set(keys))
+        maps = {w: cells for w, cells, _ in entries}
+        assert len(set(maps.values())) == len(maps)
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_setup_cell_maps_replay_their_words(box_solver, mode):
+    rng = random.Random(35)
+    table = box_solver._setup_words(mode)
+    pairs = set()
+    for _ in range(600):
+        c = box.unrank(rng.randrange(box.N_REACHABLE))
+        pair = box.blank_cell(c), c.index(1)
+        pairs.add(pair)
+        for w, cells, rot in table[pair]:
+            end = box.apply_word(c, w)
+            assert tuple(c[i] for i in cells) == end
+            b = box.blank_cell(end)
+            assert end[b ^ 7] == 1
+            assert rot in box_solver._frames(b, mode)
+    assert pairs == set(table)
 
 
 @pytest.mark.parametrize("mode", solver.MODES)
