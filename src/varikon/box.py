@@ -12,6 +12,7 @@ which pins down everything else (see three_cycle_atoms).
 """
 
 import random
+from operator import itemgetter
 from . import perm
 from .report import Check, Report
 
@@ -139,13 +140,26 @@ def unrank(r: int):
 
 def move_tables() -> dict[str, list[int]]:
     """{letter: row}, row[r] the rank one move away from rank r. No config
-    is ranked: the configs are generated in rank order and looked up."""
-    even = [tuple(v + 1 for v in p) for p in sorted(perm.all_even(7))]
+    is built or ranked: a move from blank cell b to cell j reorders the
+    piece sequence by a position map that depends only on (b, j), so the
+    slice of block b is one map over its lex-ordered sequences, looked up
+    in the index of the sequences of block j's parity."""
+    even = sorted(perm.all_even(7))
     by_parity = (even, [s[:5] + s[:4:-1] for s in even])  # both in lex order
-    configs = [s[:b] + (BLANK,) + s[b:]  # rank b * 2520 + lex index // 2
-               for b in range(8) for s in by_parity[_seq_parity_for_blank(b)]]
-    index = {c: r for r, c in enumerate(configs)}
-    return {m: [index[apply_move(c, m)] for c in configs] for m in LETTERS}
+    index = [dict(zip(seqs, range(2520))) for seqs in by_parity]
+    tables = {}
+    for m in LETTERS:
+        row = tables[m] = []
+        for b in range(8):
+            j = b ^ (1 << AXIS_BIT[m])
+            # the piece from cell j now sits in cell b, and the new
+            # sequence skips cell j; a cell's old slot skipped cell b
+            cells = [j if c == b else c for c in range(8) if c != j]
+            reorder = itemgetter(*[c - (c > b) for c in cells])
+            lookup = index[_seq_parity_for_blank(j)].__getitem__
+            row.extend(map((j * 2520).__add__, map(lookup, map(
+                reorder, by_parity[_seq_parity_for_blank(b)]))))
+    return tables
 
 
 def random_reachable(seed: int):

@@ -14,7 +14,7 @@ from .report import Report
 
 SOLVED = tuple(range(1, 16)) + (BLANK,)
 
-_WORD_TOKEN = re.compile(r"([RU])(\d*)")
+_WORD_TOKEN = re.compile(r"([RU])([0-9]*)")
 
 
 def apply_move(c, m: str):

@@ -36,18 +36,19 @@ class DistanceTable:
     def __init__(self):
         self.move_rank = move_rank = box.move_tables()
         self.root = root = box.rank(box.SOLVED)
-        tree = perm.bfs([root], box.LETTERS, lambda r, m: move_rank[m][r])
+        # the rows themselves are the BFS labels, in R,U,B order
+        tree = perm.bfs([root], move_rank.values(), lambda r, row: row[r])
         if len(tree) != box.N_REACHABLE:
             raise AssertionError("BFS did not reach every rank")
         # left_rank[m][r]: the rank of m + (the BFS-tree word to r); m's
-        # move at the root, the parent's entry moved by the label below it
+        # move at the root, the parent's entry moved by the row below it
         self.depth = depth = [0] * box.N_REACHABLE
         self.left_rank = left = {m: [row[root]] * box.N_REACHABLE
                                  for m, row in move_rank.items()}
-        for r, (prev, label) in islice(tree.items(), 1, None):  # parents first
+        for r, (prev, move) in islice(tree.items(), 1, None):  # parents first
             depth[r] = depth[prev] + 1
             for row in left.values():
-                row[r] = move_rank[label][row[prev]]
+                row[r] = move[row[prev]]
         self.max_depth = max(depth)
 
     def histogram(self) -> list[tuple[int, int]]:

@@ -1,6 +1,6 @@
 """Small pass/fail reporting structures shared by the verification ops."""
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 def render(value) -> str:
@@ -12,12 +12,9 @@ def render(value) -> str:
     return repr(value)
 
 
-@dataclass(frozen=True)
-class Check:
-    claim: str
-    expected: object
-    computed: object
-    note: str = ""
+class Check(namedtuple("Check", "claim expected computed note",
+                        defaults=("",))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -31,10 +28,10 @@ class Check:
         return d
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list = field(default_factory=list)
+    def __init__(self, title: str):
+        self.title = title
+        self.checks = []
 
     def add(self, claim, expected, computed, note=""):
         self.checks.append(Check(claim, expected, computed, note))

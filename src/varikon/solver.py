@@ -23,7 +23,7 @@ Three solve targets are supported:
   rotation - solved up to any reachable whole-box rotation.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import permutations, product
 
@@ -40,11 +40,10 @@ _BIT_LETTER = {bit: letter for letter, bit in box.AXIS_BIT.items()}
 # (a physical rotation, not a reflection) iff the bit permutation parity
 # matches the flip count parity.
 
-@dataclass(frozen=True)
-class Rotation:
-    cells: tuple     # physical cell i -> rotated cell index
-    bit_perm: tuple  # physical axis bit a -> rotated axis bit
-    mask: int
+# cells: physical cell i -> rotated cell index; bit_perm: physical axis
+# bit a -> rotated axis bit; mask: the coordinate flips
+class Rotation(namedtuple("Rotation", "cells bit_perm mask")):
+    __slots__ = ()
 
     def target(self):
         """Image of the solved state in this rotated frame: the config
@@ -86,10 +85,10 @@ IDENTITY_ROTATION = Rotation(tuple(range(8)), (0, 1, 2), 0)
 # ---------------------------------------------------------------------------
 # Relabeling the six unsolved pieces onto the abstract points 1..6.
 
-@dataclass(frozen=True)
-class Relabel:
-    beta: tuple   # piece k (k = 2..7) -> abstract point beta[k-2] (0-based)
-    assign: tuple # ordered letter pair realizing +g, per generator index
+# beta: piece k (k = 2..7) -> abstract point beta[k-2] (0-based);
+# assign: the ordered letter pair realizing +g, per generator index
+class Relabel(namedtuple("Relabel", "beta assign")):
+    __slots__ = ()
 
     def to_abstract(self, piece_perm6: perm.Perm) -> perm.Perm:
         a = [0] * 6
@@ -150,12 +149,9 @@ def relabel_map() -> Relabel:
 
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Solution:
-    method: str
-    moves: str
-    phases: tuple  # (label, word) pairs
-    target: tuple  # config actually reached
+# phases: (label, word) pairs; target: the config actually reached
+class Solution(namedtuple("Solution", "method moves phases target")):
+    __slots__ = ()
 
     @property
     def total(self) -> int:

@@ -10,8 +10,7 @@ the lexicographically least word among the shortest ones.
 """
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 from . import perm
 from .report import Check, Report
@@ -29,14 +28,12 @@ def _signed_letters(gens) -> dict:
     return letters
 
 
-@dataclass(frozen=True)
 class WordTable:
-    gens: tuple
-    entries: dict  # Perm -> word (tuple of signed generator indices)
-
-    @cached_property
-    def letters(self) -> dict:
-        return _signed_letters(self.gens)
+    def __init__(self, gens: tuple, entries: dict):
+        self.gens = gens
+        # Perm -> word (tuple of signed generator indices)
+        self.entries = entries
+        self.letters = _signed_letters(gens)
 
     def __len__(self):
         return len(self.entries)

@@ -215,6 +215,19 @@ def test_closed_stdout_prints_no_traceback():
     assert err == b""
 
 
+def test_cli_import_pulls_in_no_heavy_modules():
+    # every cold `varikon` process pays for what cli imports; -S keeps the
+    # interpreter's site hooks out of the check
+    src = str(Path(varikon.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import varikon.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} "
+            "& sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 def test_verify_builds_each_table_once(distance_table):
     # verify stays in rank space on one distance table: no tuple
     # enumeration, and the kernel is built once and shared

@@ -59,7 +59,8 @@ def test_word_grammar():
     assert fifteen.parse_word("U3R") == "UUUR"
     assert fifteen.parse_word("R12") == "R" * 12
     assert fifteen.parse_word("") == ""
-    for bad in ("X", "3R", "R-1", "r", "R 3", "RU?"):
+    # exponents are ASCII decimal, like board pieces
+    for bad in ("X", "3R", "R-1", "r", "R 3", "RU?", "R\uff13", "U\u0661R"):
         with pytest.raises(ValueError):
             fifteen.parse_word(bad)
 

@@ -30,6 +30,11 @@ def test_rotation_catalogue():
     assert len(rotations) == 24
     assert len({r.cells for r in rotations}) == 24
     assert solver.IDENTITY_ROTATION in rotations
+    # rotations are values: equal ones hash alike and serve as dict keys
+    fresh = solver.Rotation(tuple(range(8)), (0, 1, 2), 0)
+    assert hash(fresh) == hash(solver.IDENTITY_ROTATION)
+    assert {r: i for i, r in enumerate(rotations)}[fresh] == \
+        rotations.index(solver.IDENTITY_ROTATION)
     reachable = solver.reachable_rotations()
     assert len(reachable) == 12
     for r in rotations:
@@ -164,6 +169,7 @@ def test_pinned_word_phase_lengths(box_solver):
     sol5 = box_solver.solve_heuristic_a5(hard_a5)
     assert sol6.phase_length("setup") == 0
     assert sol6.phase_length("word-expansion") == 20
+    assert sol6.total == len(sol6.moves) == 20
     assert sol5.phase_length("setup") == 0
     assert sol5.phase_length("word-expansion") == 24
     # a freely chosen frame shortens the first case

@@ -3,6 +3,7 @@
 import random
 
 from varikon import perm, words
+from varikon.report import Check, Report
 
 A5_HISTOGRAM = [(0, 1), (1, 4), (2, 8), (3, 16), (4, 24), (5, 6), (6, 1)]
 A6_HISTOGRAM = [(0, 1), (1, 6), (2, 24), (3, 96), (4, 187), (5, 46)]
@@ -87,6 +88,14 @@ def test_both_composition_conventions_of_the_a6_product():
     r2l = words.compose_factors(words.A6_EXAMPLE_FACTORS, 6, right_to_left=True)
     assert perm.format_cycles(l2r) == "(2,3,6)"
     assert perm.format_cycles(r2l) == "(2,6,4)"
+
+
+def test_report_values():
+    first, second = Report("x"), Report("x")
+    first.add("claim", 1, 1)
+    assert second.checks == []
+    assert Check("claim", 1, 2).note == ""
+    assert first.checks == [Check("claim", 1, 1)]
 
 
 def test_reports():
