@@ -146,6 +146,14 @@ def cmd_fifteen(args, out) -> int:
     return OK
 
 
+def _seed(text: str) -> int:
+    # ASCII decimal, as board tokens: int() also takes "-3" (whose sign
+    # random.Random drops), "+3", "1_0" and non-ASCII digits
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"not ASCII decimal digits: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varikon",
@@ -168,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=solver.MODES, default="strict")
     p.add_argument("--random", action="store_true",
                    help="solve a random reachable config instead")
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=_seed,
                    help="seed for --random (default 0)")
 
     p = sub.add_parser("words", help="emit a shortest-word table")

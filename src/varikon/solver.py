@@ -14,7 +14,9 @@ moves when required. Whether a state ends a setup depends only on the
 blank's cell and piece 1's cell, and a word moves cells the same way on
 every config with the same blank cell, so each mode's setup candidates
 are a table, built once, of (word, cell map, frame) per (blank, piece-1)
-pair; a solve only reads the end state off the cell map.
+pair; a solve only reads the end state off the cell map. Each frame is
+compiled with the solver too: the cells holding the abstract points, the
+physical XYXY of each signed generator, and the frame's target.
 
 Three solve targets are supported:
   strict   - the solved state itself (identity rotation only);
@@ -26,6 +28,7 @@ Three solve targets are supported:
 from collections import namedtuple
 from functools import cached_property
 from itertools import permutations, product
+from operator import itemgetter
 
 from . import box, groups, perm, words
 
@@ -50,25 +53,15 @@ class Rotation(namedtuple("Rotation", "cells bit_perm mask")):
         that looks solved once the box is turned by the rotation."""
         return groups.config_of(self.cells)
 
-    def frame_letter_to_physical(self, letter: str) -> str:
-        """The physical move that realizes a frame-coordinate move."""
-        frame_bit = box.AXIS_BIT[letter]
-        return _BIT_LETTER[self.bit_perm.index(frame_bit)]
-
 
 def all_rotations() -> list[Rotation]:
     out = []
     for bp in permutations(range(3)):
         for mask in range(8):
             if perm.parity(bp) == bin(mask).count("1") % 2:
-                cells = []
-                for i in range(8):
-                    img = 0
-                    for a in range(3):
-                        if i >> a & 1:
-                            img |= 1 << bp[a]
-                    cells.append(img ^ mask)
-                out.append(Rotation(tuple(cells), bp, mask))
+                cells = tuple(sum(1 << bp[a] for a in range(3) if i >> a & 1)
+                              ^ mask for i in range(8))
+                out.append(Rotation(cells, bp, mask))
     return out
 
 
@@ -87,18 +80,7 @@ IDENTITY_ROTATION = Rotation(tuple(range(8)), (0, 1, 2), 0)
 
 # beta: piece k (k = 2..7) -> abstract point beta[k-2] (0-based);
 # assign: the ordered letter pair realizing +g, per generator index
-class Relabel(namedtuple("Relabel", "beta assign")):
-    __slots__ = ()
-
-    def to_abstract(self, piece_perm6: perm.Perm) -> perm.Perm:
-        a = [0] * 6
-        for i in range(6):
-            a[self.beta[i]] = self.beta[piece_perm6[i]]
-        return tuple(a)
-
-    def expansion_pair(self, signed: int) -> tuple[str, str]:
-        x, y = self.assign[abs(signed) - 1]
-        return (x, y) if signed > 0 else (y, x)
+Relabel = namedtuple("Relabel", "beta assign")
 
 
 _SUBPROBLEM_PAIRS = (("R", "B"), ("R", "U"), ("U", "B"))
@@ -149,6 +131,11 @@ def relabel_map() -> Relabel:
 
 # ---------------------------------------------------------------------------
 
+# read: state -> the pieces in the cells of abstract points 0..5;
+# expansion: signed generator -> physical XYXY; target: as Rotation.target
+_Frame = namedtuple("_Frame", "read expansion target")
+
+
 # phases: (label, word) pairs; target: the config actually reached
 class Solution(namedtuple("Solution", "method moves phases target")):
     __slots__ = ()
@@ -169,18 +156,41 @@ class Solver:
         self.table6 = words.build_a6_table()
         self.relabel = relabel_map()
         self.rotations = reachable_rotations()
+        self._point_of = dict(enumerate(self.relabel.beta, start=2))
+        piece_at = perm.inverse(self.relabel.beta)  # point -> piece - 2
+        pairs = {}
+        for k, (x, y) in enumerate(self.relabel.assign, start=1):
+            pairs[k], pairs[-k] = x + y, y + x
         self._frames_for_blank: dict[int, list[Rotation]] = {}
+        self._frame: dict[Rotation, _Frame] = {}
         for rot in self.rotations:
             b = rot.cells.index(7)
             self._frames_for_blank.setdefault(b, []).append(rot)
+            # point q is read from the cell where the frame's target holds
+            # the piece that beta sends to q
+            cell_of = perm.inverse(rot.cells)
+            physical = {m: _BIT_LETTER[rot.bit_perm.index(bit)]
+                        for m, bit in box.AXIS_BIT.items()}
+            self._frame[rot] = _Frame(
+                itemgetter(*(cell_of[i + 1] for i in piece_at)),
+                {s: 2 * "".join(map(physical.get, xy))
+                 for s, xy in pairs.items()},
+                rot.target())
         self._setup_tables: dict[str, dict] = {}
-        # (prefix, effect) for every A5 prefix of length 0, 1 and 2; the
-        # effect is the point action of performing the prefix's letters
-        # in order, so the last performed acts first
-        self._a5_prefixes = [
-            [(prefix, self.table6.compose_word(prefix[::-1]))
-             for prefix in product(self._PREFIX_ALPHABET, repeat=plen)]
-            for plen in range(3)]
+        # the shortest A5 prefixes (at most two generator applications) per
+        # point they home, as (prefix, effect) in alphabet order; the effect
+        # is the point action of performing the prefix's letters in order,
+        # so the last performed acts first
+        self._a5_prefixes: dict[int, list] = {}
+        for plen in range(3):
+            for prefix in product(self._PREFIX_ALPHABET, repeat=plen):
+                effect = self.table6.compose_word(prefix[::-1])
+                group = self._a5_prefixes.setdefault(effect[5], [])
+                if not group or len(group[0][0]) == plen:
+                    group.append((prefix, effect))
+        if len(self._a5_prefixes) != 6:
+            raise AssertionError("piece 6 not homed within two generator "
+                                 "applications")
 
     @cached_property
     def distance(self):
@@ -215,10 +225,8 @@ class Solver:
     def residual_abstract(self, state, rot: Rotation) -> perm.Perm:
         """The six unsolved pieces of a set-up state, as a permutation of
         the abstract points."""
-        inv_cells = perm.inverse(rot.cells)
-        piece6 = tuple(state[inv_cells[k - 1]] - 2 for k in range(2, 8))
-        a = self.relabel.to_abstract(piece6)
-        if perm.parity(a) != 0:
+        a = tuple(map(self._point_of.get, self._frame[rot].read(state)))
+        if a not in self.table6.entries:  # exactly the even permutations
             raise AssertionError("set-up residual is odd; frame admission "
                                  "is broken")
         return a
@@ -263,14 +271,11 @@ class Solver:
         """Physical moves for abstract letters performed in order: each
         letter becomes its alternating pair XYXY, conjugated through the
         frame rotation."""
-        pairs = "".join(2 * "".join(self.relabel.expansion_pair(s))
-                        for s in performed)
-        return pairs.translate({ord(m): rot.frame_letter_to_physical(m)
-                                for m in box.LETTERS})
+        return "".join(map(self._frame[rot].expansion.__getitem__, performed))
 
     def _finish(self, c, method, setup_word, phys, rot) -> Solution:
         moves = setup_word + phys
-        target = rot.target()
+        target = self._frame[rot].target
         if box.apply_word(c, moves) != target:
             raise AssertionError(
                 f"{method} produced an invalid solution for "
@@ -286,9 +291,7 @@ class Solver:
         # The residual composes contravariantly with performed letters
         # (the last letter performed acts first on the points), so the
         # canceling sequence is the reversed table word of the inverse.
-        stored = self.table6.word_of(perm.inverse(a))
-        performed = tuple(reversed(stored))
-        phys = self._expand(performed, rot)
+        phys = self._expand(self.table6.word_of(perm.inverse(a))[::-1], rot)
         return self._finish(c, "heuristic-a6", setup_word, phys, rot)
 
     _PREFIX_ALPHABET = (1, -1, 2, -2, 3, -3)
@@ -300,25 +303,12 @@ class Solver:
         setup_word, _, rot, a = self.setup_phase(c, mode)
         # compose(effect, a) maps point 5 to a[effect[5]], so it homes
         # point 5 exactly when effect[5] is the point that a sends to 5
-        home = a.index(5)
-        best = None
-        for plen, prefixes in enumerate(self._a5_prefixes):
-            found = []
-            for idx, (prefix, effect) in enumerate(prefixes):
-                if effect[5] != home:
-                    continue
-                after = perm.compose(effect, a)
-                stored5 = self.table5.word_of(perm.inverse(after[:5]))
-                found.append((plen + len(stored5), idx, prefix, stored5))
-            if found:
-                best = min(found)
-                break
-        if best is None:
-            raise AssertionError("piece 6 not homed within two generator "
-                                 "applications")
-        _, _, prefix, stored5 = best
-        performed = prefix + tuple(reversed(stored5))
-        phys = self._expand(performed, rot)
+        _, _, prefix, stored5 = min(
+            (len(w5), i, prefix, w5)
+            for i, (prefix, effect) in enumerate(self._a5_prefixes[a.index(5)])
+            for w5 in (self.table5.word_of(
+                perm.inverse(perm.compose(effect, a)[:5])),))
+        phys = self._expand(prefix + stored5[::-1], rot)
         return self._finish(c, "heuristic-a5", setup_word, phys, rot)
 
     # -- exhaustive comparison ----------------------------------------

@@ -98,11 +98,10 @@ A6_EXAMPLE_FACTORS = (("(1,2,3)", +1), ("(3,4,5)", -1), ("(5,6,1)", -1),
                       ("(3,4,5)", +1), ("(1,2,3)", -1))
 
 
-def compose_factors(factors, n: int, right_to_left: bool = False) -> perm.Perm:
+def compose_factors(factors, n: int) -> perm.Perm:
+    """Left-to-right product; factors[::-1] gives the right-to-left one."""
     ps = [perm.parse_cycles(t, n) if e > 0 else perm.inverse(perm.parse_cycles(t, n))
           for t, e in factors]
-    if right_to_left:
-        ps.reverse()
     return reduce(perm.compose, ps, perm.identity(n))
 
 
@@ -115,7 +114,7 @@ def check_factorization(name: str, factors, expected_text: str, n: int):
     if l2r == expected:
         return Check(name, expected_text, perm.format_cycles(l2r),
                      note="validates left-to-right")
-    r2l = compose_factors(factors, n, right_to_left=True)
+    r2l = compose_factors(factors[::-1], n)
     if r2l == expected:
         return Check(name, expected_text, perm.format_cycles(r2l),
                      note="validates right-to-left only")

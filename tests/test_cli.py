@@ -75,6 +75,19 @@ def test_solve_random_defaults_to_seed_zero(capsys):
     assert plain == seeded
 
 
+@pytest.mark.parametrize("seed", ("-3", "+3", "\uff13", "\u0661", "1_0",
+                                  " 3", ""))
+def test_solve_seed_is_ascii_decimal(capsys, seed):
+    # int() takes all of these, and random.Random drops the sign of -3,
+    # which would silently solve the --seed 3 config
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--random", "--seed", seed, "--method", "a6"])
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.INPUT_ERROR
+    assert captured.out == ""
+    assert "error:" in captured.err and "--seed" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "1,2,3,4,5,6,7,_", "--random"),
     ("solve", "1,2,3,4,5,6,7,_", "--seed", "3"),
@@ -268,7 +281,8 @@ _BOARDS = st.one_of(
     st.permutations([str(i) for i in range(1, 16)] + ["_"]).map(",".join),
     st.text(max_size=20))
 _SOLVE_FLAGS = st.lists(st.sampled_from([
-    ("--random",), ("--seed", "5"), ("--seed", "x"), ("--method", "a6"),
+    ("--random",), ("--seed", "5"), ("--seed", "x"), ("--seed", "-3"),
+    ("--seed", "\uff13"), ("--method", "a6"),
     ("--method", "a5"), ("--method", "optimal"), ("--method", "bogus"),
     ("--target", "center"), ("--target", "rotation"), ("--target", "strict"),
     ("--bogus",)]), max_size=3)

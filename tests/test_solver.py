@@ -1,6 +1,7 @@
 """Heuristic and optimal solving: relabeling, frames, sweeps, pinned lengths."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -15,14 +16,19 @@ def test_relabeling_is_the_frozen_choice():
     assert rel.assign == (("U", "B"), ("B", "R"), ("R", "U"))
 
 
-def test_expansion_pairs_realize_the_generators():
+def test_expansion_pairs_realize_the_generators(box_solver):
     rel = solver.relabel_map()
+    rot = solver.IDENTITY_ROTATION
     for g, gen in enumerate(A6_GENS, start=1):
         for signed, expected in ((g, gen), (-g, perm.inverse(gen))):
-            x, y = rel.expansion_pair(signed)
-            image = box.apply_word(box.SOLVED, (x + y) * 2)
+            image = box.apply_word(box.SOLVED, box_solver._expand((signed,), rot))
             on_six = solver._atom_on_six(box.piece_perm(image))
-            assert rel.to_abstract(on_six) == expected
+            # beta carries the piece permutation onto the abstract points
+            relabeled = [0] * 6
+            for i in range(6):
+                relabeled[rel.beta[i]] = rel.beta[on_six[i]]
+            assert tuple(relabeled) == expected
+            assert box_solver.residual_abstract(image, rot) == expected
 
 
 def test_rotation_catalogue():
@@ -41,9 +47,43 @@ def test_rotation_catalogue():
         assert box.is_reachable(r.target()) == (r in reachable)
 
 
-def test_identity_frame_keeps_letters():
-    for m in box.LETTERS:
-        assert solver.IDENTITY_ROTATION.frame_letter_to_physical(m) == m
+def test_identity_frame_keeps_letters(box_solver):
+    rel = box_solver.relabel
+    for k, (x, y) in enumerate(rel.assign, start=1):
+        assert box_solver._expand((k,), solver.IDENTITY_ROTATION) == 2 * (x + y)
+        assert box_solver._expand((-k,), solver.IDENTITY_ROTATION) == 2 * (y + x)
+
+
+def _set_up_states(rot, rng, count):
+    """Reachable configs with the blank and piece 1 where the frame's
+    target has them, the other six pieces shuffled."""
+    blank, one = rot.cells.index(7), rot.cells.index(0)
+    rest = [i for i in range(8) if i not in (blank, one)]
+    states = []
+    while len(states) < count:
+        pieces = rng.sample(range(2, 8), 6)
+        c = [box.BLANK] * 8
+        c[one] = 1
+        for i, piece in zip(rest, pieces):
+            c[i] = piece
+        if box.is_reachable(tuple(c)):
+            states.append(tuple(c))
+    return states
+
+
+def test_every_frame_expands_letters_onto_the_generators(box_solver):
+    # performing a letter's expansion in any frame composes the letter's
+    # generator before the residual, as the word phase assumes
+    rng = random.Random(36)
+    letters = box_solver.table6.letters
+    assert len(box_solver.rotations) == 12
+    for rot in box_solver.rotations:
+        for x in _set_up_states(rot, rng, 30):
+            a = box_solver.residual_abstract(x, rot)
+            for s in letters:
+                moved = box.apply_word(x, box_solver._expand((s,), rot))
+                assert box_solver.residual_abstract(moved, rot) == \
+                    perm.compose(letters[s], a)
 
 
 def test_solved_input_needs_no_moves(box_solver):
@@ -146,6 +186,25 @@ def test_setup_phase_matches_breadth_first_search(box_solver, mode):
         c = box.unrank(rng.randrange(box.N_REACHABLE))
         assert box_solver.setup_phase(c, mode) == _reference_setup(
             box_solver, c, mode)
+
+
+def test_setup_phase_reads_residuals_without_perm_work(box_solver):
+    # frames are compiled when the solver is built: a setup reads each
+    # residual off its frame's cells, with no inverse or parity per
+    # candidate; the one parity left is the input's reachability check
+    rng = random.Random(37)
+    inverse = mock.Mock(wraps=perm.inverse)
+    parity = mock.Mock(wraps=perm.parity)
+    reachable = mock.Mock(wraps=box.is_reachable)
+    with mock.patch.object(perm, "inverse", inverse), \
+            mock.patch.object(perm, "parity", parity), \
+            mock.patch.object(box, "is_reachable", reachable):
+        for _ in range(50):
+            c = box.unrank(rng.randrange(box.N_REACHABLE))
+            for mode in solver.MODES:
+                box_solver.setup_phase(c, mode)
+    assert reachable.call_count == 150
+    assert (inverse.call_count, parity.call_count) == (0, 150)
 
 
 def test_setup_phase_rejects_unknown_mode(box_solver):

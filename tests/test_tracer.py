@@ -1,0 +1,47 @@
+"""The benchmark's tracer wraps package functions by name: a refactor that
+drops or renames one of them must fail the package's own tests too."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from varikon import box, solver
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(module_name, path):
+    owner = importlib.import_module(f"varikon.{module_name}")
+    *classes, attr = path.split(".")
+    for cls in classes:
+        owner = getattr(owner, cls)
+    return owner.__dict__[attr]
+
+
+def test_tracer_installs_and_uninstalls():
+    tracer = _load_tracer()
+    originals = {name: _resolve(module, path)
+                 for module, path, name in tracer.WRAPPED}
+    originals["setup_phase"] = solver.Solver.__dict__["setup_phase"]
+    t = tracer.Tracer()
+    try:
+        t.install()
+        s = solver.Solver()
+        s.solve_heuristic_a5(box.parse_config("1,3,2,4,5,7,6,_"), "rotation")
+    finally:
+        t.uninstall()
+    stats = t.snapshot()["stats"]
+    for name in ("solver.Solver.__init__", "Solver.setup_phase",
+                 "Solver.solve_heuristic_a5"):
+        assert stats[name][0] == 1, name
+    assert stats["Solver.residual_abstract"][0] >= 1
+    for module, path, name in tracer.WRAPPED:
+        assert _resolve(module, path) is originals[name], name
+    assert solver.Solver.__dict__["setup_phase"] is originals["setup_phase"]
