@@ -20,6 +20,7 @@ BLANK = None
 SOLVED = (1, 2, 3, 4, 5, 6, 7, BLANK)
 LETTERS = "RUB"
 AXIS_BIT = {"R": 0, "B": 1, "U": 2}
+_STEP = {m: 1 << bit for m, bit in AXIS_BIT.items()}  # blank cell XOR
 
 N_REACHABLE = 20160  # 8!/2
 
@@ -46,9 +47,19 @@ def parse_word(text: str) -> str:
 
 
 def apply_word(c, text: str):
-    for m in parse_word(text):
-        c = apply_move(c, m)
-    return c
+    """The config reached from c by the word's moves, in one pass: the
+    blank walks through the letters, each step sliding the piece from its
+    new cell into its old one."""
+    if not parse_word(text):
+        return c
+    cells = list(c)
+    b = c.index(BLANK)
+    for m in text:
+        j = b ^ _STEP[m]
+        cells[b] = cells[j]
+        b = j
+    cells[b] = BLANK
+    return tuple(cells)
 
 
 def phi(text: str) -> tuple[int, int, int]:

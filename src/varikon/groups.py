@@ -99,9 +99,14 @@ def build_distance_table() -> DistanceTable:
 
 def center(table: DistanceTable) -> list[int]:
     """Ranks of the elements commuting with the three single-letter
-    generators (sufficient, since the letters generate the whole group)."""
-    return [r for r in range(box.N_REACHABLE)
-            if all(table.commutes(r, m) for m in box.LETTERS)]
+    generators (sufficient, since the letters generate the whole group):
+    r commutes with letter m exactly when move_rank[m][r] equals
+    left_rank[m][r] (DistanceTable.commutes), so one pass over the rows
+    compares all three letters."""
+    moves = zip(*(table.move_rank[m] for m in box.LETTERS))
+    lefts = zip(*(table.left_rank[m] for m in box.LETTERS))
+    return [r for r, (moved, left) in enumerate(zip(moves, lefts))
+            if moved == left]
 
 
 # The three 18-move words realizing the nontrivial central elements;

@@ -28,7 +28,7 @@ def compose(a: Perm, b: Perm) -> Perm:
     """Left-to-right product: (a*b)(x) = b(a(x))."""
     if len(a) != len(b):
         raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
-    return tuple(b[a[i]] for i in range(len(a)))
+    return tuple([b[x] for x in a])
 
 
 def inverse(p: Perm) -> Perm:

@@ -14,9 +14,12 @@ moves when required. Whether a state ends a setup depends only on the
 blank's cell and piece 1's cell, and a word moves cells the same way on
 every config with the same blank cell, so each mode's setup candidates
 are a table, built once, of (word, cell map, frame) per (blank, piece-1)
-pair; a solve only reads the end state off the cell map. Each frame is
-compiled with the solver too: the cells holding the abstract points, the
-physical XYXY of each signed generator, and the frame's target.
+pair. Each frame is compiled with the solver too: the cells holding the
+abstract points, the physical XYXY of each signed generator, and the
+frame's target. Each setup entry also carries a compiled read, the
+frame's cells composed through the word's cell map, so a solve scores a
+candidate with one read of the input config and builds the end state
+only for the winner.
 
 Three solve targets are supported:
   strict   - the solved state itself (identity rotation only);
@@ -131,6 +134,8 @@ def relabel_map() -> Relabel:
 
 # ---------------------------------------------------------------------------
 
+_ODD_RESIDUAL = "set-up residual is odd; frame admission is broken"
+
 # read: state -> the pieces in the cells of abstract points 0..5;
 # expansion: signed generator -> physical XYXY; target: as Rotation.target
 _Frame = namedtuple("_Frame", "read expansion target")
@@ -227,8 +232,7 @@ class Solver:
         the abstract points."""
         a = tuple(map(self._point_of.get, self._frame[rot].read(state)))
         if a not in self.table6.entries:  # exactly the even permutations
-            raise AssertionError("set-up residual is odd; frame admission "
-                                 "is broken")
+            raise AssertionError(_ODD_RESIDUAL)
         return a
 
     def setup_phase(self, c, mode: str = "strict"):
@@ -239,27 +243,35 @@ class Solver:
         """
         if not box.is_reachable(c):
             raise ValueError("config is not reachable")
+        point_of, words6 = self._point_of.get, self.table6.entries
         best = None
-        for w, cells, rot in self._setup_words(mode)[box.blank_cell(c),
-                                                     c.index(1)]:
-            s = tuple(c[i] for i in cells)
-            a = self.residual_abstract(s, rot)
-            n = self.table6.length_of(a)
-            if best is None or n < best[0]:
-                best = n, w, s, rot, a
-        return best[1:]
+        for w, cells, rot, read in self._setup_words(mode)[box.blank_cell(c),
+                                                           c.index(1)]:
+            # the candidate's residual, read straight off the input
+            word6 = words6.get(tuple(map(point_of, read(c))))
+            if word6 is None:
+                raise AssertionError(_ODD_RESIDUAL)
+            if best is None or len(word6) < best[0]:
+                best = len(word6), w, cells, rot
+        _, w, cells, rot = best
+        state = tuple(map(c.__getitem__, cells))
+        return w, state, rot, self.residual_abstract(state, rot)
 
     def _setup_words(self, mode: str) -> dict:
-        """(blank cell, piece-1 cell) -> (word, cells, frame) for every
-        shortest setup word of the mode and every frame admitted where the
-        word leaves the blank, sorted by (word, bit_perm, mask); built
-        once per mode."""
+        """(blank cell, piece-1 cell) -> (word, cells, frame, read) for
+        every shortest setup word of the mode and every frame admitted
+        where the word leaves the blank, sorted by (word, bit_perm, mask);
+        built once per mode. read is the frame's read composed through the
+        cell map: read(c) takes the six residual pieces of the word's end
+        state straight from the input config c."""
         table = self._setup_tables.get(mode)
         if table is None:
             goals = [(b, b ^ 7) for b in range(8) if self._frames(b, mode)]
             table = self._setup_tables[mode] = {
                 (b, p): sorted(
-                    ((w, cells, rot) for w, cells in entries
+                    ((w, cells, rot,
+                      itemgetter(*self._frame[rot].read(cells)))
+                     for w, cells in entries
                      for rot in self._frames(cells.index(b), mode)),
                     key=lambda e: (e[0], e[2].bit_perm, e[2].mask))
                 for (b, p), entries in _shortest_pair_words(goals).items()}

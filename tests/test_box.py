@@ -1,5 +1,7 @@
 """2x2x2 box model: moves, parity predicate, ranking, letter-pair cycles."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,6 +33,20 @@ def test_moves_are_involutions(w, m):
 def test_apply_word_folds_moves(v, w):
     c = box.apply_word(box.SOLVED, "RUBRU")
     assert box.apply_word(c, v + w) == box.apply_word(box.apply_word(c, v), w)
+
+
+@given(st.integers(0, box.N_REACHABLE - 1).map(box.unrank),
+       st.lists(st.sampled_from("RUB"), max_size=40).map("".join))
+def test_apply_word_is_the_fold_of_apply_move(c, w):
+    assert box.apply_word(c, w) == reduce(box.apply_move, w, c)
+
+
+def test_apply_word_edge_cases():
+    c = box.apply_word(box.SOLVED, "RUBRU")
+    assert box.apply_word(c, "") is c
+    for bad in ("X", "RUx", "R B"):
+        with pytest.raises(ValueError):
+            box.apply_word(c, bad)
 
 
 def test_word_grammar_rejects_bad_letters():

@@ -96,6 +96,13 @@ def test_center_is_identity_plus_half_turns(distance_table, center_elements):
                 == box.unrank(z))
 
 
+def test_center_matches_the_letter_commutation_test(distance_table,
+                                                    center_elements):
+    assert center_elements == [
+        r for r in range(box.N_REACHABLE)
+        if all(distance_table.commutes(r, m) for m in "RUB")]
+
+
 def test_center_words_report(distance_table, center_elements):
     rep = groups.verify_center_words(distance_table, center_elements)
     assert rep.passed, [c.row() for c in rep.failures()]

@@ -148,17 +148,18 @@ def test_setup_word_table(box_solver, mode, total, n_words, per_pair,
     table = box_solver._setup_words(mode)
     assert len(table) == 56
     assert sum(len(entries) for entries in table.values()) == total
-    assert sum(len({w for w, _, _ in entries})
+    assert sum(len({w for w, _, _, _ in entries})
                for entries in table.values()) == n_words
     assert max(len(entries) for entries in table.values()) == per_pair
     assert max(len(w) for entries in table.values()
-               for w, _, _ in entries) == depth
+               for w, _, _, _ in entries) == depth
     for entries in table.values():
-        assert len({len(w) for w, _, _ in entries}) == 1
-        keys = [(w, rot.bit_perm, rot.mask) for w, _, rot in entries]
+        assert len({len(w) for w, _, _, _ in entries}) == 1
+        keys = [(w, rot.bit_perm, rot.mask) for w, _, rot, _ in entries]
         assert keys == sorted(set(keys))
-        maps = {w: cells for w, cells, _ in entries}
+        maps = {w: cells for w, cells, _, _ in entries}
         assert len(set(maps.values())) == len(maps)
+        assert all(type(cells) is tuple for cells in maps.values())
 
 
 @pytest.mark.parametrize("mode", solver.MODES)
@@ -170,13 +171,64 @@ def test_setup_cell_maps_replay_their_words(box_solver, mode):
         c = box.unrank(rng.randrange(box.N_REACHABLE))
         pair = box.blank_cell(c), c.index(1)
         pairs.add(pair)
-        for w, cells, rot in table[pair]:
+        for w, cells, rot, _ in table[pair]:
             end = box.apply_word(c, w)
             assert tuple(c[i] for i in cells) == end
             b = box.blank_cell(end)
             assert end[b ^ 7] == 1
             assert rot in box_solver._frames(b, mode)
     assert pairs == set(table)
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_setup_reads_compose_the_frame_read_with_the_cell_map(box_solver,
+                                                              mode):
+    # each entry's compiled read takes from the input config exactly the
+    # residual that the frame reads off the word's end state
+    rng = random.Random(38)
+    pools = {}
+    for r in range(box.N_REACHABLE):
+        c = box.unrank(r)
+        pools.setdefault((box.blank_cell(c), c.index(1)), []).append(c)
+    table = box_solver._setup_words(mode)
+    assert pools.keys() == table.keys()
+    for pair, entries in table.items():
+        for c in rng.sample(pools[pair], 10):
+            for _, cells, rot, read in entries:
+                state = tuple(c[i] for i in cells)
+                assert tuple(map(box_solver._point_of.get, read(c))) == \
+                    box_solver.residual_abstract(state, rot)
+
+
+def test_setup_phase_builds_one_residual_per_call(box_solver):
+    # candidates are scored through their compiled reads; only the
+    # winner's end state is built and read as a residual
+    rng = random.Random(39)
+    with mock.patch.object(box_solver, "residual_abstract",
+                           wraps=box_solver.residual_abstract) as residual:
+        for _ in range(50):
+            c = box.unrank(rng.randrange(box.N_REACHABLE))
+            for mode in solver.MODES:
+                box_solver.setup_phase(c, mode)
+    assert residual.call_count == 150
+
+
+def test_finish_rejects_a_wrong_word(box_solver):
+    c = box.parse_config("1,5,2,4,3,6,7,_")
+    setup_word, _, rot, _ = box_solver.setup_phase(c)
+    sol = box_solver.solve_heuristic_a6(c)
+    phys = sol.moves[len(setup_word):]
+    with pytest.raises(AssertionError, match="produced an invalid solution"):
+        box_solver._finish(c, "heuristic-a6", setup_word, phys[:-1], rot)
+    # an expansion that drops a letter is caught by the replay as well
+    frame = box_solver._frame[rot]
+    short = frame._replace(expansion={s: xy[:-1] for s, xy
+                                      in frame.expansion.items()})
+    with mock.patch.dict(box_solver._frame, {rot: short}):
+        with pytest.raises(AssertionError,
+                           match="produced an invalid solution"):
+            box_solver.solve_heuristic_a6(c)
+    assert box_solver.solve_heuristic_a6(c) == sol
 
 
 @pytest.mark.parametrize("mode", solver.MODES)
