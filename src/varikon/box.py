@@ -12,6 +12,8 @@ which pins down everything else (see three_cycle_atoms).
 """
 
 import random
+from functools import cache
+from itertools import permutations, product
 from operator import itemgetter
 from . import perm
 from .report import Check, Report
@@ -20,7 +22,7 @@ BLANK = None
 SOLVED = (1, 2, 3, 4, 5, 6, 7, BLANK)
 LETTERS = "RUB"
 AXIS_BIT = {"R": 0, "B": 1, "U": 2}
-_STEP = {m: 1 << bit for m, bit in AXIS_BIT.items()}  # blank cell XOR
+STEP = {m: 1 << bit for m, bit in AXIS_BIT.items()}  # blank cell XOR
 
 N_REACHABLE = 20160  # 8!/2
 
@@ -31,7 +33,7 @@ def blank_cell(c) -> int:
 
 def apply_move(c, m: str):
     b = c.index(BLANK)
-    j = b ^ (1 << AXIS_BIT[m])
+    j = b ^ STEP[m]
     cells = list(c)
     cells[b], cells[j] = cells[j], cells[b]
     return tuple(cells)
@@ -55,7 +57,7 @@ def apply_word(c, text: str):
     cells = list(c)
     b = c.index(BLANK)
     for m in text:
-        j = b ^ _STEP[m]
+        j = b ^ STEP[m]
         cells[b] = cells[j]
         b = j
     cells[b] = BLANK
@@ -80,6 +82,12 @@ def config_perm(c) -> perm.Perm:
     return tuple(last if v is BLANK else v - 1 for v in c)
 
 
+def config_of(p: perm.Perm):
+    """The config whose config_perm is p."""
+    last = len(p) - 1
+    return tuple(BLANK if v == last else v + 1 for v in p)
+
+
 def piece_perm(c) -> perm.Perm:
     """The 7-point piece permutation of a config whose blank is home."""
     if c[7] is not BLANK:
@@ -100,16 +108,10 @@ def enumerate_reachable() -> set:
 
 
 # ---------------------------------------------------------------------------
-# Perfect-hash ranking: rank = blank_cell * 2520 + (lexicographic index of
-# the piece sequence, cells read in order skipping the blank) // 2. The
-# halving works because exactly one of each last-two-swapped sequence pair
-# is reachable for a given blank cell.
-
-_FACT = [1, 1, 2, 6, 24, 120, 720]
-
-
-def _seq_of(c) -> list[int]:
-    return [v for v in c if v is not BLANK]
+# Perfect-hash ranking: rank = blank_cell * 2520 + the lex index of the
+# piece sequence (cells in order, blank skipped) among the 2,520 sequences
+# of the parity the blank cell fixes. rank, unrank and move_tables read
+# the one pair of lex-ordered lists that _lex_sequences builds.
 
 
 def _seq_parity_for_blank(b: int) -> int:
@@ -122,31 +124,33 @@ def _seq_parity_for_blank(b: int) -> int:
     return ((d >> 1) + (d >> 2)) % 2
 
 
+@cache
+def _lex_sequences():
+    """(seqs, index): seqs[p] the piece sequences of parity p in lex order,
+    index[p] their positions. Sequences 2h and 2h+1 differ in the last
+    two pieces, and their first five Lehmer digits are h's digits in
+    radices 7,6,5,4,3, so the even one is 2h + (digit sum of h) % 2."""
+    lex = list(permutations(range(1, 8)))
+    flips = [sum(d) % 2 for d in product(*map(range, (7, 6, 5, 4, 3)))]
+    seqs = ([lex[2 * h + f] for h, f in enumerate(flips)],
+            [lex[2 * h + 1 - f] for h, f in enumerate(flips)])
+    return seqs, [dict(zip(s, range(2520))) for s in seqs]
+
+
 def rank(c) -> int:
     b = blank_cell(c)
-    seq = _seq_of(c)
-    lex = 0
-    for i in range(7):
-        smaller = sum(1 for v in seq[i + 1:] if v < seq[i])
-        lex += smaller * _FACT[6 - i]
-    return b * 2520 + lex // 2
+    h = _lex_sequences()[1][_seq_parity_for_blank(b)].get(c[:b] + c[b + 1:])
+    if h is None:
+        raise ValueError(f"not a reachable config: {format_config(c)}")
+    return b * 2520 + h
 
 
 def unrank(r: int):
     if not 0 <= r < N_REACHABLE:
         raise ValueError(f"rank out of range: {r}")
-    b, half = divmod(r, 2520)
-    lex = 2 * half
-    pool = [1, 2, 3, 4, 5, 6, 7]
-    seq, inversions = [], 0  # Lehmer digits sum to the inversion count
-    for i in range(7):
-        digit, lex = divmod(lex, _FACT[6 - i])
-        inversions += digit
-        seq.append(pool.pop(digit))
-    if inversions % 2 != _seq_parity_for_blank(b):
-        seq[-1], seq[-2] = seq[-2], seq[-1]
-    seq.insert(b, BLANK)
-    return tuple(seq)
+    b, h = divmod(r, 2520)
+    seq = _lex_sequences()[0][_seq_parity_for_blank(b)][h]
+    return seq[:b] + (BLANK,) + seq[b:]
 
 
 def move_tables() -> dict[str, list[int]]:
@@ -155,21 +159,19 @@ def move_tables() -> dict[str, list[int]]:
     piece sequence by a position map that depends only on (b, j), so the
     slice of block b is one map over its lex-ordered sequences, looked up
     in the index of the sequences of block j's parity."""
-    even = sorted(perm.all_even(7))
-    by_parity = (even, [s[:5] + s[:4:-1] for s in even])  # both in lex order
-    index = [dict(zip(seqs, range(2520))) for seqs in by_parity]
+    seqs, index = _lex_sequences()
     tables = {}
     for m in LETTERS:
         row = tables[m] = []
         for b in range(8):
-            j = b ^ (1 << AXIS_BIT[m])
+            j = b ^ STEP[m]
             # the piece from cell j now sits in cell b, and the new
             # sequence skips cell j; a cell's old slot skipped cell b
             cells = [j if c == b else c for c in range(8) if c != j]
             reorder = itemgetter(*[c - (c > b) for c in cells])
             lookup = index[_seq_parity_for_blank(j)].__getitem__
             row.extend(map((j * 2520).__add__, map(lookup, map(
-                reorder, by_parity[_seq_parity_for_blank(b)]))))
+                reorder, seqs[_seq_parity_for_blank(b)]))))
     return tables
 
 

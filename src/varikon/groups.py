@@ -23,10 +23,6 @@ from . import box, perm
 from .report import Report
 
 
-def config_of(p: perm.Perm):
-    return tuple(box.BLANK if v == 7 else v + 1 for v in p)
-
-
 # ---------------------------------------------------------------------------
 
 class DistanceTable:
@@ -225,7 +221,7 @@ def verify_structure(table: DistanceTable, center_ranks, kernel) -> Report:
     # generating elements of K<R>: the letter R plus one element per
     # named 3-cycle (cycle direction is irrelevant to generation and to
     # commutation, so the element built from the cycle image serves)
-    gen_words = ["R"] + [table.word_to(box.rank(config_of(p)))
+    gen_words = ["R"] + [table.word_to(box.rank(box.config_of(p)))
                          for p in kgen_perms]
     closure = perm.bfs([root], gen_words, table.walk)
     rep.add("(e) closure of R + the 3-cycles equals K<R>", True,

@@ -54,7 +54,7 @@ class Rotation(namedtuple("Rotation", "cells bit_perm mask")):
     def target(self):
         """Image of the solved state in this rotated frame: the config
         that looks solved once the box is turned by the rotation."""
-        return groups.config_of(self.cells)
+        return box.config_of(self.cells)
 
 
 def all_rotations() -> list[Rotation]:
@@ -362,7 +362,7 @@ def _pair_move(pair, m: str):
     """A move acting on (blank cell, piece-1 cell): the blank toggles the
     letter's bit, and piece 1 moves only if it is the piece slid."""
     b, p = pair
-    nb = b ^ (1 << box.AXIS_BIT[m])
+    nb = b ^ box.STEP[m]
     return nb, (b if p == nb else p)
 
 

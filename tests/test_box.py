@@ -1,6 +1,7 @@
 """2x2x2 box model: moves, parity predicate, ranking, letter-pair cycles."""
 
-from functools import reduce
+from functools import cache, reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -120,6 +121,28 @@ def test_rank_rejects_out_of_range():
     for r in (-1, box.N_REACHABLE):
         with pytest.raises(ValueError):
             box.unrank(r)
+    # unreachable configs: each has the piece sequence of the other parity
+    for text in ("1,2,3,4,6,5,7,_", "_,7,6,5,4,3,2,1"):
+        with pytest.raises(ValueError):
+            box.rank(box.parse_config(text))
+
+
+def test_rank_order_is_blank_major_then_lex(reachable_set):
+    # pins the rank format by a route that reads no sequence list
+    def key(c):
+        return c.index(None), [v for v in c if v is not None]
+    assert [box.unrank(r) for r in range(box.N_REACHABLE)] == sorted(
+        reachable_set, key=key)
+
+
+def test_lex_sequences_are_built_once():
+    # move tables, rank and unrank share one build of the sequence lists
+    build = mock.Mock(wraps=box._lex_sequences.__wrapped__)
+    with mock.patch.object(box, "_lex_sequences", cache(build)):
+        box.move_tables()
+        box.move_tables()
+        assert box.unrank(box.rank(box.SOLVED)) == box.SOLVED
+    assert build.call_count == 1
 
 
 def test_random_reachable_is_deterministic():
@@ -161,7 +184,9 @@ def test_dihedral_check_needs_distinct_letters(distance_table):
 def test_config_text_round_trip():
     assert box.format_config(box.SOLVED) == "1,2,3,4,5,6,7,_"
     text = "3,1,2,4,5,6,7,_"
-    assert box.format_config(box.parse_config(text)) == text
+    c = box.parse_config(text)
+    assert box.format_config(c) == text
+    assert box.config_of(box.config_perm(c)) == c
 
 
 def test_config_text_rejects_bad_input():
