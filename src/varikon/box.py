@@ -23,8 +23,10 @@ SOLVED = (1, 2, 3, 4, 5, 6, 7, BLANK)
 LETTERS = "RUB"
 AXIS_BIT = {"R": 0, "B": 1, "U": 2}
 STEP = {m: 1 << bit for m, bit in AXIS_BIT.items()}  # blank cell XOR
+_TOKENS = frozenset(SOLVED)
 
 N_REACHABLE = 20160  # 8!/2
+BLOCK = N_REACHABLE // 8  # ranks per blank cell: the 7!/2 piece sequences
 
 
 def blank_cell(c) -> int:
@@ -95,9 +97,17 @@ def piece_perm(c) -> perm.Perm:
     return tuple(v - 1 for v in c[:7])
 
 
+def is_board(c) -> bool:
+    """Whether c holds each of the seven pieces and the blank once."""
+    return len(c) == 8 and set(c) == _TOKENS
+
+
 def is_reachable(c) -> bool:
     """Parity test: reachable iff the 8-point permutation parity equals
-    the parity of the blank's Hamming distance from cell 7."""
+    the parity of the blank's Hamming distance from cell 7. A board that
+    is not an arrangement of the seven pieces and the blank is not."""
+    if not is_board(c):
+        return False
     distance = (blank_cell(c) ^ 7).bit_count()
     return perm.parity(config_perm(c)) == distance % 2
 
@@ -108,10 +118,15 @@ def enumerate_reachable() -> set:
 
 
 # ---------------------------------------------------------------------------
-# Perfect-hash ranking: rank = blank_cell * 2520 + the lex index of the
+# Perfect-hash ranking: rank = blank_cell * BLOCK + the lex index of the
 # piece sequence (cells in order, blank skipped) among the 2,520 sequences
 # of the parity the blank cell fixes. rank, unrank and move_tables read
 # the one pair of lex-ordered lists that _lex_sequences builds.
+
+
+def block(b: int) -> range:
+    """The ranks of the configs with the blank in cell b."""
+    return range(b * BLOCK, (b + 1) * BLOCK)
 
 
 def _seq_parity_for_blank(b: int) -> int:
@@ -134,7 +149,7 @@ def _lex_sequences():
     flips = [sum(d) % 2 for d in product(*map(range, (7, 6, 5, 4, 3)))]
     seqs = ([lex[2 * h + f] for h, f in enumerate(flips)],
             [lex[2 * h + 1 - f] for h, f in enumerate(flips)])
-    return seqs, [dict(zip(s, range(2520))) for s in seqs]
+    return seqs, [dict(zip(s, range(BLOCK))) for s in seqs]
 
 
 def rank(c) -> int:
@@ -142,13 +157,13 @@ def rank(c) -> int:
     h = _lex_sequences()[1][_seq_parity_for_blank(b)].get(c[:b] + c[b + 1:])
     if h is None:
         raise ValueError(f"not a reachable config: {format_config(c)}")
-    return b * 2520 + h
+    return b * BLOCK + h
 
 
 def unrank(r: int):
     if not 0 <= r < N_REACHABLE:
         raise ValueError(f"rank out of range: {r}")
-    b, h = divmod(r, 2520)
+    b, h = divmod(r, BLOCK)
     seq = _lex_sequences()[0][_seq_parity_for_blank(b)][h]
     return seq[:b] + (BLANK,) + seq[b:]
 
@@ -170,7 +185,7 @@ def move_tables() -> dict[str, list[int]]:
             cells = [j if c == b else c for c in range(8) if c != j]
             reorder = itemgetter(*[c - (c > b) for c in cells])
             lookup = index[_seq_parity_for_blank(j)].__getitem__
-            row.extend(map((j * 2520).__add__, map(lookup, map(
+            row.extend(map((j * BLOCK).__add__, map(lookup, map(
                 reorder, seqs[_seq_parity_for_blank(b)]))))
     return tables
 

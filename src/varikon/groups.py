@@ -167,7 +167,7 @@ def verify_center_words(table: DistanceTable, center_ranks) -> Report:
 def subgroup_K() -> range:
     """The kernel of the parity-vector homomorphism: the elements whose
     image keeps the blank home, the blank-cell-7 block of ranks."""
-    return range(7 * 2520, 8 * 2520)
+    return box.block(7)
 
 
 def verify_K_is_A7(kernel) -> Report:

@@ -19,7 +19,15 @@ abstract points, the physical XYXY of each signed generator, and the
 frame's target. Each setup entry also carries a compiled read, the
 frame's cells composed through the word's cell map, so a solve scores a
 candidate with one read of the input config and builds the end state
-only for the winner.
+only for the winner. A list is solved as its tuple, and anything but
+one of the 20,160 reachable configs raises ValueError: a board that is
+not an arrangement of the pieces and the blank fails one set
+comparison, and an unreachable one gives an odd residual, since setup
+words and frames keep reachability; only then is the parity test run.
+The abstract letters that cancel a residual depend on the residual
+alone, so each heuristic memoizes them per residual (at most 360 plans
+each), filled on first use; the expansion into moves and the replay
+that verifies the answer still run on every solve.
 
 Three solve targets are supported:
   strict   - the solved state itself (identity rotation only);
@@ -196,6 +204,9 @@ class Solver:
         if len(self._a5_prefixes) != 6:
             raise AssertionError("piece 6 not homed within two generator "
                                  "applications")
+        # residual -> abstract letters performed to cancel it, per method
+        self._plans6: dict[perm.Perm, tuple] = {}
+        self._plans5: dict[perm.Perm, tuple] = {}
 
     @cached_property
     def distance(self):
@@ -206,8 +217,7 @@ class Solver:
     def solve_optimal(self, c) -> Solution:
         """Distance-table descent (DistanceTable.descend), checked by
         applying the word to the config."""
-        if not box.is_reachable(c):
-            raise ValueError("config is not reachable")
+        c = tuple(c)
         word = self.distance.descend(box.rank(c))
         if box.apply_word(c, word) != box.SOLVED:
             raise AssertionError("optimal descent missed the solved state")
@@ -241,8 +251,9 @@ class Solver:
         whose residual has the shortest table word wins (then word text,
         then frame order). Returns (word, state, rotation, residual).
         """
-        if not box.is_reachable(c):
-            raise ValueError("config is not reachable")
+        c = tuple(c)
+        if not box.is_board(c):
+            raise ValueError(f"not a board of the box: {c!r}")
         point_of, words6 = self._point_of.get, self.table6.entries
         best = None
         for w, cells, rot, read in self._setup_words(mode)[box.blank_cell(c),
@@ -250,6 +261,11 @@ class Solver:
             # the candidate's residual, read straight off the input
             word6 = words6.get(tuple(map(point_of, read(c))))
             if word6 is None:
+                # setup words and frames keep reachability, so an odd
+                # residual means an unreachable input or broken frames
+                if not box.is_reachable(c):
+                    raise ValueError(f"not a reachable config: "
+                                     f"{box.format_config(c)}")
                 raise AssertionError(_ODD_RESIDUAL)
             if best is None or len(word6) < best[0]:
                 best = len(word6), w, cells, rot
@@ -299,11 +315,16 @@ class Solver:
     # -- heuristics ---------------------------------------------------
 
     def solve_heuristic_a6(self, c, mode: str = "strict") -> Solution:
+        c = tuple(c)
         setup_word, _, rot, a = self.setup_phase(c, mode)
-        # The residual composes contravariantly with performed letters
-        # (the last letter performed acts first on the points), so the
-        # canceling sequence is the reversed table word of the inverse.
-        phys = self._expand(self.table6.word_of(perm.inverse(a))[::-1], rot)
+        performed = self._plans6.get(a)
+        if performed is None:
+            # The residual composes contravariantly with performed letters
+            # (the last letter performed acts first on the points), so the
+            # canceling sequence is the reversed table word of the inverse.
+            performed = self._plans6[a] = \
+                self.table6.word_of(perm.inverse(a))[::-1]
+        phys = self._expand(performed, rot)
         return self._finish(c, "heuristic-a6", setup_word, phys, rot)
 
     _PREFIX_ALPHABET = (1, -1, 2, -2, 3, -3)
@@ -312,15 +333,20 @@ class Solver:
         """Like the A6 path, but first homes the piece at abstract point
         6 with at most two extra generator applications, then uses the
         two-generator table on the remaining five points."""
+        c = tuple(c)
         setup_word, _, rot, a = self.setup_phase(c, mode)
-        # compose(effect, a) maps point 5 to a[effect[5]], so it homes
-        # point 5 exactly when effect[5] is the point that a sends to 5
-        _, _, prefix, stored5 = min(
-            (len(w5), i, prefix, w5)
-            for i, (prefix, effect) in enumerate(self._a5_prefixes[a.index(5)])
-            for w5 in (self.table5.word_of(
-                perm.inverse(perm.compose(effect, a)[:5])),))
-        phys = self._expand(prefix + stored5[::-1], rot)
+        performed = self._plans5.get(a)
+        if performed is None:
+            # compose(effect, a) maps point 5 to a[effect[5]], so it homes
+            # point 5 exactly when effect[5] is the point that a sends to 5
+            _, _, prefix, stored5 = min(
+                (len(w5), i, prefix, w5)
+                for i, (prefix, effect)
+                in enumerate(self._a5_prefixes[a.index(5)])
+                for w5 in (self.table5.word_of(
+                    perm.inverse(perm.compose(effect, a)[:5])),))
+            performed = self._plans5[a] = prefix + stored5[::-1]
+        phys = self._expand(performed, rot)
         return self._finish(c, "heuristic-a5", setup_word, phys, rot)
 
     # -- exhaustive comparison ----------------------------------------

@@ -98,6 +98,11 @@ def test_reachability_examples():
     assert not box.is_reachable(box.parse_config("_,7,6,5,4,3,2,1"))
     # odd piece permutation with the blank home
     assert not box.is_reachable(box.parse_config("1,2,3,4,6,5,7,_"))
+    # a repeated piece, a 7-token board, a board without a blank, and a
+    # 9-token board: none is an arrangement of the pieces and the blank
+    for c in ((1, 1, 3, 4, 5, 6, 7, None), (1, 2, 3, 4, 5, 6, None),
+              (1, 2, 3, 4, 5, 6, 7, 8), box.SOLVED + (None,)):
+        assert not box.is_reachable(c)
 
 
 @given(box_words)
@@ -131,8 +136,11 @@ def test_rank_order_is_blank_major_then_lex(reachable_set):
     # pins the rank format by a route that reads no sequence list
     def key(c):
         return c.index(None), [v for v in c if v is not None]
-    assert [box.unrank(r) for r in range(box.N_REACHABLE)] == sorted(
-        reachable_set, key=key)
+    ordered = [box.unrank(r) for r in range(box.N_REACHABLE)]
+    assert ordered == sorted(reachable_set, key=key)
+    # block(b) is the run of ranks whose blank sits in cell b
+    assert [b for b in range(8) for _ in box.block(b)] == \
+        [c.index(None) for c in ordered]
 
 
 def test_lex_sequences_are_built_once():

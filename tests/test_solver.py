@@ -1,6 +1,7 @@
 """Heuristic and optimal solving: relabeling, frames, sweeps, pinned lengths."""
 
 import random
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -109,6 +110,50 @@ def test_unreachable_input_is_rejected(box_solver):
         box_solver.solve_heuristic_a6(bad)
     with pytest.raises(ValueError):
         box_solver.solve_heuristic_a5(bad)
+    for mode in solver.MODES:
+        with pytest.raises(ValueError, match="not a reachable config"):
+            box_solver.setup_phase(bad, mode)
+
+
+def test_odd_residual_of_a_reachable_input_is_a_fault():
+    # an odd residual marks an unreachable input only while the frames
+    # read the right cells: with two of them swapped, the solved state
+    # reads odd and the setup reports broken frames
+    s = solver.Solver()
+    rot = solver.IDENTITY_ROTATION
+    cells = s._frame[rot].read.__reduce__()[1]
+    s._frame[rot] = s._frame[rot]._replace(
+        read=itemgetter(cells[1], cells[0], *cells[2:]))
+    with pytest.raises(AssertionError, match="frame admission is broken"):
+        s.setup_phase(box.SOLVED)
+
+
+@pytest.mark.parametrize("board", (
+    (1, 1, 3, 4, 5, 6, 7, None),  # a repeated piece
+    (1, 2, 3, 4, 5, 6, None),     # seven tokens
+    (1, 2, 3, 4, 5, 6, 7, 8),     # eight tokens, no blank
+))
+def test_malformed_input_is_rejected(box_solver, board):
+    for solve in (box_solver.solve_optimal, box_solver.solve_heuristic_a6,
+                  box_solver.solve_heuristic_a5, box_solver.setup_phase):
+        for c in (board, list(board)):
+            with pytest.raises(ValueError):
+                solve(c)
+
+
+def test_list_input_is_solved_as_its_tuple(box_solver):
+    rng = random.Random(40)
+    configs = [box.SOLVED] + [box.unrank(rng.randrange(box.N_REACHABLE))
+                              for _ in range(20)]
+    for c in configs:
+        assert box_solver.solve_optimal(list(c)) == \
+            box_solver.solve_optimal(c)
+        for mode in solver.MODES:
+            assert box_solver.setup_phase(list(c), mode) == \
+                box_solver.setup_phase(c, mode)
+            for method in (box_solver.solve_heuristic_a6,
+                           box_solver.solve_heuristic_a5):
+                assert method(list(c), mode) == method(c, mode)
 
 
 def _reference_setup(s, c, mode):
@@ -243,7 +288,8 @@ def test_setup_phase_matches_breadth_first_search(box_solver, mode):
 def test_setup_phase_reads_residuals_without_perm_work(box_solver):
     # frames are compiled when the solver is built: a setup reads each
     # residual off its frame's cells, with no inverse or parity per
-    # candidate; the one parity left is the input's reachability check
+    # candidate, and checks its input as a board, leaving the parity
+    # test to an input whose residual reads odd
     rng = random.Random(37)
     inverse = mock.Mock(wraps=perm.inverse)
     parity = mock.Mock(wraps=perm.parity)
@@ -255,8 +301,53 @@ def test_setup_phase_reads_residuals_without_perm_work(box_solver):
             c = box.unrank(rng.randrange(box.N_REACHABLE))
             for mode in solver.MODES:
                 box_solver.setup_phase(c, mode)
-    assert reachable.call_count == 150
-    assert (inverse.call_count, parity.call_count) == (0, 150)
+    assert (reachable.call_count, inverse.call_count,
+            parity.call_count) == (0, 0, 0)
+
+
+def test_warm_solves_do_no_perm_work():
+    # each residual's letter plan is worked out once per solver: solving
+    # the same configs again costs no inverse, compose or parity
+    s = solver.Solver()
+    rng = random.Random(41)
+    configs = [box.unrank(rng.randrange(box.N_REACHABLE)) for _ in range(200)]
+    calls = {name: mock.Mock(wraps=getattr(perm, name))
+             for name in ("inverse", "compose", "parity")}
+    for mode in solver.MODES:
+        first = [(s.solve_heuristic_a6(c, mode), s.solve_heuristic_a5(c, mode))
+                 for c in configs]
+        with mock.patch.multiple(perm, **calls):
+            again = [(s.solve_heuristic_a6(c, mode),
+                      s.solve_heuristic_a5(c, mode)) for c in configs]
+        assert again == first
+        assert {name: m.call_count for name, m in calls.items()} == \
+            {"inverse": 0, "compose": 0, "parity": 0}, mode
+    # plans are keyed by residual alone: a whole sweep keeps at most one
+    # plan per even permutation of the six points
+    s.compare_all("rotation")
+    assert 0 < len(s._plans6) <= len(s.table6)
+    assert 0 < len(s._plans5) <= len(s.table6)
+
+
+def test_cold_and_warm_solvers_agree(box_solver):
+    # fill every plan of the session solver: with the blank home and
+    # piece 1 in cell 0 the strict setup is empty and the 360 residuals
+    # are the 360 arrangements of the other six pieces
+    for r in box.block(7):
+        c = box.unrank(r)
+        if c[0] == 1:
+            box_solver.solve_heuristic_a6(c)
+            box_solver.solve_heuristic_a5(c)
+    assert len(box_solver._plans6) == len(box_solver._plans5) == \
+        len(box_solver.table6)
+    rng = random.Random(42)
+    configs = [box.unrank(rng.randrange(box.N_REACHABLE)) for _ in range(300)]
+    for mode in solver.MODES:
+        cold = solver.Solver()
+        for c in configs:
+            for method in ("solve_heuristic_a6", "solve_heuristic_a5"):
+                assert getattr(cold, method)(c, mode) == \
+                    getattr(box_solver, method)(c, mode), (mode, method, c)
 
 
 def test_setup_phase_rejects_unknown_mode(box_solver):
