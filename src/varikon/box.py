@@ -153,6 +153,9 @@ def _lex_sequences():
 
 
 def rank(c) -> int:
+    c = tuple(c)
+    if not is_board(c):
+        raise ValueError(f"not a board of the box: {c!r}")
     b = blank_cell(c)
     h = _lex_sequences()[1][_seq_parity_for_blank(b)].get(c[:b] + c[b + 1:])
     if h is None:

@@ -20,14 +20,14 @@ frame's target. Each setup entry also carries a compiled read, the
 frame's cells composed through the word's cell map, so a solve scores a
 candidate with one read of the input config and builds the end state
 only for the winner. A list is solved as its tuple, and anything but
-one of the 20,160 reachable configs raises ValueError: a board that is
-not an arrangement of the pieces and the blank fails one set
-comparison, and an unreachable one gives an odd residual, since setup
-words and frames keep reachability; only then is the parity test run.
-The abstract letters that cancel a residual depend on the residual
-alone, so each heuristic memoizes them per residual (at most 360 plans
-each), filled on first use; the expansion into moves and the replay
-that verifies the answer still run on every solve.
+one of the 20,160 reachable configs raises ValueError (setup_phase
+tells a non-board from an unreachable board without a parity test).
+
+Both heuristics follow one plan rule: of the shortest prefixes homing
+abstract point 6 (A5: up to two generator applications; A6: only the
+empty one), the one leaving the shortest table word. A plan depends on
+the residual alone, so each method keeps one memo of them (at most 360),
+filled on first use. Every answer, optimal too, is replayed by one check.
 
 Three solve targets are supported:
   strict   - the solved state itself (identity rotation only);
@@ -160,6 +160,13 @@ class Solution(namedtuple("Solution", "method moves phases target")):
     def phase_length(self, label: str) -> int:
         return sum(len(w) for lab, w in self.phases if lab == label)
 
+    def replayed(self, c) -> "Solution":
+        """The solution, once applying its moves to c reaches its target."""
+        if box.apply_word(c, self.moves) != self.target:
+            raise AssertionError(f"{self.method} produced an invalid "
+                                 f"solution for {box.format_config(c)}")
+        return self
+
 
 class Solver:
     """Holds the built tables; all solve calls are pure given them."""
@@ -169,16 +176,17 @@ class Solver:
         self.table6 = words.build_a6_table()
         self.relabel = relabel_map()
         self.rotations = reachable_rotations()
+        self._mode_frames = {
+            "strict": [IDENTITY_ROTATION],
+            "center": [r for r in self.rotations if r.bit_perm == (0, 1, 2)],
+            "rotation": self.rotations}
         self._point_of = dict(enumerate(self.relabel.beta, start=2))
         piece_at = perm.inverse(self.relabel.beta)  # point -> piece - 2
         pairs = {}
         for k, (x, y) in enumerate(self.relabel.assign, start=1):
             pairs[k], pairs[-k] = x + y, y + x
-        self._frames_for_blank: dict[int, list[Rotation]] = {}
         self._frame: dict[Rotation, _Frame] = {}
         for rot in self.rotations:
-            b = rot.cells.index(7)
-            self._frames_for_blank.setdefault(b, []).append(rot)
             # point q is read from the cell where the frame's target holds
             # the piece that beta sends to q
             cell_of = perm.inverse(rot.cells)
@@ -194,19 +202,22 @@ class Solver:
         # point they home, as (prefix, effect) in alphabet order; the effect
         # is the point action of performing the prefix's letters in order,
         # so the last performed acts first
-        self._a5_prefixes: dict[int, list] = {}
+        a5_prefixes: dict[int, list] = {}
         for plen in range(3):
-            for prefix in product(self._PREFIX_ALPHABET, repeat=plen):
+            for prefix in product(self.table6.letters, repeat=plen):
                 effect = self.table6.compose_word(prefix[::-1])
-                group = self._a5_prefixes.setdefault(effect[5], [])
+                group = a5_prefixes.setdefault(effect[5], [])
                 if not group or len(group[0][0]) == plen:
                     group.append((prefix, effect))
-        if len(self._a5_prefixes) != 6:
+        if len(a5_prefixes) != 6:
             raise AssertionError("piece 6 not homed within two generator "
                                  "applications")
-        # residual -> abstract letters performed to cancel it, per method
-        self._plans6: dict[perm.Perm, tuple] = {}
-        self._plans5: dict[perm.Perm, tuple] = {}
+        # per method: word table, homing prefixes and plans by residual
+        # (filled on use); A6 is the A5 plan rule over the empty prefix
+        self._methods = {
+            "heuristic-a6": (self.table6, dict.fromkeys(
+                range(6), [((), perm.identity(6))]), {}),
+            "heuristic-a5": (self.table5, a5_prefixes, {})}
 
     @cached_property
     def distance(self):
@@ -219,23 +230,18 @@ class Solver:
         applying the word to the config."""
         c = tuple(c)
         word = self.distance.descend(box.rank(c))
-        if box.apply_word(c, word) != box.SOLVED:
-            raise AssertionError("optimal descent missed the solved state")
-        return Solution("optimal", word, (("optimal", word),), box.SOLVED)
+        return Solution("optimal", word, (("optimal", word),),
+                        box.SOLVED).replayed(c)
 
     # -- setup --------------------------------------------------------
 
     def _frames(self, b: int, mode: str) -> list[Rotation]:
         """Frames of the mode usable with the blank in cell b and piece 1
         opposite it."""
-        if mode == "strict":
-            return [IDENTITY_ROTATION] if b == 7 else []
-        frames = self._frames_for_blank.get(b, [])
-        if mode == "center":
-            return [r for r in frames if r.bit_perm == (0, 1, 2)]
-        if mode == "rotation":
-            return frames
-        raise ValueError(f"unknown target mode {mode!r}")
+        frames = self._mode_frames.get(mode)
+        if frames is None:
+            raise ValueError(f"unknown target mode {mode!r}")
+        return [r for r in frames if r.cells.index(7) == b]
 
     def residual_abstract(self, state, rot: Rotation) -> perm.Perm:
         """The six unsolved pieces of a set-up state, as a permutation of
@@ -293,7 +299,7 @@ class Solver:
                 for (b, p), entries in _shortest_pair_words(goals).items()}
         return table
 
-    # -- expansion ----------------------------------------------------
+    # -- heuristics ---------------------------------------------------
 
     def _expand(self, performed, rot: Rotation) -> str:
         """Physical moves for abstract letters performed in order: each
@@ -301,71 +307,56 @@ class Solver:
         frame rotation."""
         return "".join(map(self._frame[rot].expansion.__getitem__, performed))
 
-    def _finish(self, c, method, setup_word, phys, rot) -> Solution:
-        moves = setup_word + phys
-        target = self._frame[rot].target
-        if box.apply_word(c, moves) != target:
-            raise AssertionError(
-                f"{method} produced an invalid solution for "
-                f"{box.format_config(c)}")
-        return Solution(method, moves,
-                        (("setup", setup_word), ("word-expansion", phys)),
-                        target)
-
-    # -- heuristics ---------------------------------------------------
-
-    def solve_heuristic_a6(self, c, mode: str = "strict") -> Solution:
+    def _solve_heuristic(self, c, mode: str, method: str) -> Solution:
+        """Setup, the plan rule's letters for the residual a (memoized),
+        their expansion in the setup's frame, and the replay check."""
+        table, prefixes, plans = self._methods[method]
         c = tuple(c)
         setup_word, _, rot, a = self.setup_phase(c, mode)
-        performed = self._plans6.get(a)
+        performed = plans.get(a)
         if performed is None:
+            n = len(table.gens[0])
+            # compose(effect, a) maps point 5 to a[effect[5]], so it homes
+            # point 5 exactly when effect[5] is the point that a sends to 5
+            _, _, prefix, word = min(
+                (len(w), i, prefix, w)
+                for i, (prefix, effect) in enumerate(prefixes[a.index(5)])
+                for w in (table.word_of(
+                    perm.inverse(perm.compose(effect, a)[:n])),))
             # The residual composes contravariantly with performed letters
             # (the last letter performed acts first on the points), so the
             # canceling sequence is the reversed table word of the inverse.
-            performed = self._plans6[a] = \
-                self.table6.word_of(perm.inverse(a))[::-1]
+            performed = plans[a] = prefix + word[::-1]
         phys = self._expand(performed, rot)
-        return self._finish(c, "heuristic-a6", setup_word, phys, rot)
+        return Solution(method, setup_word + phys,
+                        (("setup", setup_word), ("word-expansion", phys)),
+                        self._frame[rot].target).replayed(c)
 
-    _PREFIX_ALPHABET = (1, -1, 2, -2, 3, -3)
+    def solve_heuristic_a6(self, c, mode: str = "strict") -> Solution:
+        return self._solve_heuristic(c, mode, "heuristic-a6")
 
     def solve_heuristic_a5(self, c, mode: str = "strict") -> Solution:
         """Like the A6 path, but first homes the piece at abstract point
         6 with at most two extra generator applications, then uses the
         two-generator table on the remaining five points."""
-        c = tuple(c)
-        setup_word, _, rot, a = self.setup_phase(c, mode)
-        performed = self._plans5.get(a)
-        if performed is None:
-            # compose(effect, a) maps point 5 to a[effect[5]], so it homes
-            # point 5 exactly when effect[5] is the point that a sends to 5
-            _, _, prefix, stored5 = min(
-                (len(w5), i, prefix, w5)
-                for i, (prefix, effect)
-                in enumerate(self._a5_prefixes[a.index(5)])
-                for w5 in (self.table5.word_of(
-                    perm.inverse(perm.compose(effect, a)[:5])),))
-            performed = self._plans5[a] = prefix + stored5[::-1]
-        phys = self._expand(performed, rot)
-        return self._finish(c, "heuristic-a5", setup_word, phys, rot)
+        return self._solve_heuristic(c, mode, "heuristic-a5")
 
     # -- exhaustive comparison ----------------------------------------
 
-    def compare_all(self, mode: str = "strict", methods=("a6", "a5")):
+    def compare_all(self, mode: str = "strict"):
         """Optimal and heuristic lengths over every reachable config.
 
         Returns (summary dict, rows); rows are per-rank tuples of
-        (rank, optimal, a6 total, a5 total) with None for methods not
-        requested. Every heuristic solution is verified by application
-        inside the solve calls.
+        (rank, optimal, a6 total, a5 total). Every heuristic solution is
+        verified by application inside the solve calls.
         """
         table = self.distance
         rows = []
         for r in range(box.N_REACHABLE):
             c = box.unrank(r)
-            a6 = self.solve_heuristic_a6(c, mode).total if "a6" in methods else None
-            a5 = self.solve_heuristic_a5(c, mode).total if "a5" in methods else None
-            rows.append((r, table.depth[r], a6, a5))
+            rows.append((r, table.depth[r],
+                         self.solve_heuristic_a6(c, mode).total,
+                         self.solve_heuristic_a5(c, mode).total))
         summary = {
             "mode": mode,
             "configs": len(rows),
@@ -373,14 +364,13 @@ class Solver:
             "optimal_mean": sum(row[1] for row in rows) / len(rows),
         }
         for label, col in (("a6", 2), ("a5", 3)):
-            if label in methods:
-                totals = [row[col] for row in rows]
-                gaps = [t - row[1] for t, row in zip(totals, rows)]
-                summary[f"{label}_max"] = max(totals)
-                summary[f"{label}_mean"] = sum(totals) / len(totals)
-                summary[f"{label}_max_gap"] = max(gaps)
-                summary[f"{label}_argmax"] = box.format_config(
-                    box.unrank(totals.index(max(totals))))
+            totals = [row[col] for row in rows]
+            gaps = [t - row[1] for t, row in zip(totals, rows)]
+            summary[f"{label}_max"] = max(totals)
+            summary[f"{label}_mean"] = sum(totals) / len(totals)
+            summary[f"{label}_max_gap"] = max(gaps)
+            summary[f"{label}_argmax"] = box.format_config(
+                box.unrank(totals.index(max(totals))))
         return summary, rows
 
 

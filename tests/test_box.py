@@ -130,6 +130,15 @@ def test_rank_rejects_out_of_range():
     for text in ("1,2,3,4,6,5,7,_", "_,7,6,5,4,3,2,1"):
         with pytest.raises(ValueError):
             box.rank(box.parse_config(text))
+    # malformed boards: no blank, a repeated piece, nine tokens
+    for c in ((1, 2, 3, 4, 5, 6, 7, 8), (1, 1, 3, 4, 5, 6, 7, None),
+              (1, 2, 3, 4, 5, 6, 7, None, None)):
+        for board in (c, list(c)):
+            with pytest.raises(ValueError, match="not a board"):
+                box.rank(board)
+    # a list is ranked as its tuple
+    for c in (box.SOLVED, box.parse_config("_,7,6,5,4,2,3,1")):
+        assert box.rank(list(c)) == box.rank(c)
 
 
 def test_rank_order_is_blank_major_then_lex(reachable_set):

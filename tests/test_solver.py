@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from varikon import box, perm, solver, words
+from varikon import box, groups, perm, solver, words
 
 A6_GENS = [perm.parse_cycles(t, 6) for t in words.A6_GENERATOR_CYCLES]
 
@@ -258,13 +258,13 @@ def test_setup_phase_builds_one_residual_per_call(box_solver):
     assert residual.call_count == 150
 
 
-def test_finish_rejects_a_wrong_word(box_solver):
+def test_replay_rejects_a_wrong_word(box_solver):
     c = box.parse_config("1,5,2,4,3,6,7,_")
-    setup_word, _, rot, _ = box_solver.setup_phase(c)
+    _, _, rot, _ = box_solver.setup_phase(c)
     sol = box_solver.solve_heuristic_a6(c)
-    phys = sol.moves[len(setup_word):]
+    assert sol.replayed(c) is sol
     with pytest.raises(AssertionError, match="produced an invalid solution"):
-        box_solver._finish(c, "heuristic-a6", setup_word, phys[:-1], rot)
+        sol._replace(moves=sol.moves[:-1]).replayed(c)
     # an expansion that drops a letter is caught by the replay as well
     frame = box_solver._frame[rot]
     short = frame._replace(expansion={s: xy[:-1] for s, xy
@@ -274,6 +274,16 @@ def test_finish_rejects_a_wrong_word(box_solver):
                            match="produced an invalid solution"):
             box_solver.solve_heuristic_a6(c)
     assert box_solver.solve_heuristic_a6(c) == sol
+    # the optimal descent goes through the same replay check
+    descend = groups.DistanceTable.descend
+    optimal = box_solver.solve_optimal(c)
+    assert optimal.total > 0
+    with mock.patch.object(groups.DistanceTable, "descend",
+                           lambda table, r: descend(table, r)[:-1]):
+        with pytest.raises(AssertionError,
+                           match="produced an invalid solution"):
+            box_solver.solve_optimal(c)
+    assert box_solver.solve_optimal(c) == optimal
 
 
 @pytest.mark.parametrize("mode", solver.MODES)
@@ -325,8 +335,8 @@ def test_warm_solves_do_no_perm_work():
     # plans are keyed by residual alone: a whole sweep keeps at most one
     # plan per even permutation of the six points
     s.compare_all("rotation")
-    assert 0 < len(s._plans6) <= len(s.table6)
-    assert 0 < len(s._plans5) <= len(s.table6)
+    for _, _, plans in s._methods.values():
+        assert 0 < len(plans) <= len(s.table6)
 
 
 def test_cold_and_warm_solvers_agree(box_solver):
@@ -338,8 +348,8 @@ def test_cold_and_warm_solvers_agree(box_solver):
         if c[0] == 1:
             box_solver.solve_heuristic_a6(c)
             box_solver.solve_heuristic_a5(c)
-    assert len(box_solver._plans6) == len(box_solver._plans5) == \
-        len(box_solver.table6)
+    assert [len(plans) for _, _, plans in box_solver._methods.values()] \
+        == [len(box_solver.table6)] * 2
     rng = random.Random(42)
     configs = [box.unrank(rng.randrange(box.N_REACHABLE)) for _ in range(300)]
     for mode in solver.MODES:
@@ -413,8 +423,10 @@ def test_strict_sweep_statistics(box_solver):
 
 
 def test_center_sweep_statistics(box_solver):
-    summary, _ = box_solver.compare_all(mode="center", methods=("a6",))
+    summary, _ = box_solver.compare_all(mode="center")
     assert summary["a6_max"] == 23
+    assert summary["a5_max"] == 33
+    assert summary["a5_argmax"] == "_,2,4,1,5,6,7,3"
 
 
 def test_rotation_sweep_statistics(box_solver):
