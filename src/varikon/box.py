@@ -55,7 +55,7 @@ def apply_word(c, text: str):
     blank walks through the letters, each step sliding the piece from its
     new cell into its old one."""
     if not parse_word(text):
-        return c
+        return tuple(c)
     cells = list(c)
     b = c.index(BLANK)
     for m in text:
@@ -120,8 +120,9 @@ def enumerate_reachable() -> set:
 # ---------------------------------------------------------------------------
 # Perfect-hash ranking: rank = blank_cell * BLOCK + the lex index of the
 # piece sequence (cells in order, blank skipped) among the 2,520 sequences
-# of the parity the blank cell fixes. rank, unrank and move_tables read
-# the one pair of lex-ordered lists that _lex_sequences builds.
+# of the parity is_reachable fixes for the blank cell. rank, unrank and
+# move_tables read the one pair of lex-ordered lists that _lex_sequences
+# builds, and rank is where an unreachable board is turned away.
 
 
 def block(b: int) -> range:
@@ -129,14 +130,12 @@ def block(b: int) -> range:
     return range(b * BLOCK, (b + 1) * BLOCK)
 
 
+@cache
 def _seq_parity_for_blank(b: int) -> int:
-    # Parity of the 7-piece sequence (relative to sorted order) that a
-    # reachable config with blank cell b must have: the 8-point parity
-    # constraint is popcount(b^7) mod 2, and deleting the blank from
-    # position b costs another (7-b) transpositions, which mod 2 leaves
-    # the two high bits of b^7.
-    d = b ^ 7
-    return ((d >> 1) + (d >> 2)) % 2
+    """The parity of block b's piece sequences: 0 exactly when the sorted
+    sequence with the blank in cell b is reachable."""
+    seq = tuple(range(1, 8))
+    return int(not is_reachable(seq[:b] + (BLANK,) + seq[b:]))
 
 
 @cache
@@ -159,7 +158,7 @@ def rank(c) -> int:
     b = blank_cell(c)
     h = _lex_sequences()[1][_seq_parity_for_blank(b)].get(c[:b] + c[b + 1:])
     if h is None:
-        raise ValueError(f"not a reachable config: {format_config(c)}")
+        raise ValueError(f"unreachable config: {format_config(c)}")
     return b * BLOCK + h
 
 

@@ -14,6 +14,11 @@ from .report import Report
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
 
 
+def _input_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return INPUT_ERROR
+
+
 def _print_csv(rows, out):
     for row in rows:
         print(",".join(str(x) for x in row), file=out)
@@ -53,17 +58,14 @@ def build_verify_reports() -> list[Report]:
 
 def cmd_verify(args, out) -> int:
     reports = build_verify_reports()
-    failed = 0
+    failed = sum(len(r.failures()) for r in reports)
     if args.format == "json":
-        payload = [r.row() for r in reports]
-        failed = sum(not r.passed for r in reports)
-        print(json.dumps(payload, indent=2), file=out)
+        print(json.dumps([r.row() for r in reports], indent=2), file=out)
     else:
         for r in reports:
             print(f"== {r.title} ==", file=out)
             for line in r.lines():
                 print(line, file=out)
-            failed += len(r.failures())
         total = sum(len(r.checks) for r in reports)
         print(f"-- {total - failed}/{total} checks passed --", file=out)
     return CHECK_FAILED if failed else OK
@@ -71,37 +73,24 @@ def cmd_verify(args, out) -> int:
 
 def cmd_solve(args, out) -> int:
     if args.method == "optimal" and args.target != "strict":
-        print(f"error: --target {args.target} applies to --method a6 or "
-              "a5 only; optimal solves to the strict target",
-              file=sys.stderr)
-        return INPUT_ERROR
+        return _input_error(f"--target {args.target} applies to --method a6 "
+                            "or a5 only; optimal solves to the strict target")
     if args.random == (args.config is not None):
-        print("error: need exactly one of a config and --random",
-              file=sys.stderr)
-        return INPUT_ERROR
+        return _input_error("need exactly one of a config and --random")
     if args.seed is not None and not args.random:
-        print("error: --seed applies only with --random", file=sys.stderr)
-        return INPUT_ERROR
-    try:
-        if args.random:
-            config = box.random_reachable(args.seed or 0)
+        return _input_error("--seed applies only with --random")
+    try:  # an unreachable config is turned away by the solve itself
+        config = (box.random_reachable(args.seed or 0) if args.random
+                  else box.parse_config(args.config))
+        s = solver.Solver()
+        if args.method == "optimal":
+            sol = s.solve_optimal(config)
+        elif args.method == "a6":
+            sol = s.solve_heuristic_a6(config, args.target)
         else:
-            config = box.parse_config(args.config)
-        if not box.is_reachable(config):
-            print(f"error: unreachable config {box.format_config(config)}",
-                  file=sys.stderr)
-            return INPUT_ERROR
+            sol = s.solve_heuristic_a5(config, args.target)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-
-    s = solver.Solver()
-    if args.method == "optimal":
-        sol = s.solve_optimal(config)
-    elif args.method == "a6":
-        sol = s.solve_heuristic_a6(config, args.target)
-    else:
-        sol = s.solve_heuristic_a5(config, args.target)
+        return _input_error(str(exc))
     print(json.dumps({
         "config": box.format_config(config),
         "method": sol.method,
@@ -138,8 +127,7 @@ def cmd_fifteen(args, out) -> int:
     try:
         config = fifteen.parse_config(args.check)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+        return _input_error(str(exc))
     solvable = fifteen.is_solvable(config)
     print(json.dumps({"config": fifteen.format_config(config),
                       "solvable": solvable}), file=out)
@@ -163,12 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate",
                        help="reachable-state count and depth histogram")
+    p.set_defaults(run=cmd_enumerate)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("verify", help="run every structural check")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("solve", help="solve one config")
+    p.set_defaults(run=cmd_solve)
     p.add_argument("config", nargs="?",
                    help="8 comma-separated tokens, '_' for the blank")
     p.add_argument("--method", choices=("optimal", "a6", "a5"),
@@ -180,10 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for --random (default 0)")
 
     p = sub.add_parser("words", help="emit a shortest-word table")
+    p.set_defaults(run=cmd_words)
     p.add_argument("--group", choices=("a5", "a6"), required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("fifteen", help="15-puzzle checks")
+    p.set_defaults(run=cmd_fifteen)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--check", metavar="CONFIG",
                        help="16 comma-separated tokens, '_' for the blank")
@@ -193,19 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "enumerate": cmd_enumerate,
-    "verify": cmd_verify,
-    "solve": cmd_solve,
-    "words": cmd_words,
-    "fifteen": cmd_fifteen,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = _DISPATCH[args.command](args, sys.stdout)
+        code = args.run(args, sys.stdout)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
     except BrokenPipeError:  # the reader left: `varikon verify | head -1`
         # point stdout at devnull so the final flush cannot raise again,

@@ -114,7 +114,8 @@ CENTER_WORDS = (
     "RURUBUBRBUBUBRBUBU",
 )
 
-_AXIS_OF_MASK = {3: "U", 5: "B", 6: "R"}  # mask flips the other two bits
+# a half-turn about the axis of bit k flips the other two bits
+_AXIS_OF_MASK = {7 ^ (1 << k): m for m, k in box.AXIS_BIT.items()}
 
 
 def half_turn_image(mask: int):
@@ -157,7 +158,7 @@ def verify_center_words(table: DistanceTable, center_ranks) -> Report:
     rep.add("center words + identity exhaust the center",
             center_canons, word_canons | {box.SOLVED})
     rep.add("center images are the solved state and its three half-turns",
-            {box.SOLVED} | {half_turn_image(m) for m in (3, 5, 6)},
+            {box.SOLVED} | {half_turn_image(m) for m in _AXIS_OF_MASK},
             center_canons)
     return rep
 

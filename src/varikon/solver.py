@@ -20,8 +20,9 @@ frame's target. Each setup entry also carries a compiled read, the
 frame's cells composed through the word's cell map, so a solve scores a
 candidate with one read of the input config and builds the end state
 only for the winner. A list is solved as its tuple, and anything but
-one of the 20,160 reachable configs raises ValueError (setup_phase
-tells a non-board from an unreachable board without a parity test).
+one of the 20,160 reachable configs raises ValueError: setup_phase
+turns away a non-board, and box.rank an unreachable board (setup_phase
+ranks its input only when a residual reads odd).
 
 Both heuristics follow one plan rule: of the shortest prefixes homing
 abstract point 6 (A5: up to two generator applications; A6: only the
@@ -228,8 +229,8 @@ class Solver:
     def solve_optimal(self, c) -> Solution:
         """Distance-table descent (DistanceTable.descend), checked by
         applying the word to the config."""
-        c = tuple(c)
-        word = self.distance.descend(box.rank(c))
+        r = box.rank(c)  # turns a bad input away before the table is built
+        word = self.distance.descend(r)
         return Solution("optimal", word, (("optimal", word),),
                         box.SOLVED).replayed(c)
 
@@ -257,7 +258,6 @@ class Solver:
         whose residual has the shortest table word wins (then word text,
         then frame order). Returns (word, state, rotation, residual).
         """
-        c = tuple(c)
         if not box.is_board(c):
             raise ValueError(f"not a board of the box: {c!r}")
         point_of, words6 = self._point_of.get, self.table6.entries
@@ -268,10 +268,9 @@ class Solver:
             word6 = words6.get(tuple(map(point_of, read(c))))
             if word6 is None:
                 # setup words and frames keep reachability, so an odd
-                # residual means an unreachable input or broken frames
-                if not box.is_reachable(c):
-                    raise ValueError(f"not a reachable config: "
-                                     f"{box.format_config(c)}")
+                # residual means an unreachable input, which box.rank
+                # turns away, or broken frames
+                box.rank(c)
                 raise AssertionError(_ODD_RESIDUAL)
             if best is None or len(word6) < best[0]:
                 best = len(word6), w, cells, rot
@@ -311,7 +310,6 @@ class Solver:
         """Setup, the plan rule's letters for the residual a (memoized),
         their expansion in the setup's frame, and the replay check."""
         table, prefixes, plans = self._methods[method]
-        c = tuple(c)
         setup_word, _, rot, a = self.setup_phase(c, mode)
         performed = plans.get(a)
         if performed is None:

@@ -45,6 +45,9 @@ def test_apply_word_is_the_fold_of_apply_move(c, w):
 def test_apply_word_edge_cases():
     c = box.apply_word(box.SOLVED, "RUBRU")
     assert box.apply_word(c, "") is c
+    # a list comes back as its tuple, the empty word too
+    assert type(box.apply_word(list(c), "")) is tuple
+    assert box.apply_word(list(c), "") == c
     for bad in ("X", "RUx", "R B"):
         with pytest.raises(ValueError):
             box.apply_word(c, bad)
@@ -128,7 +131,7 @@ def test_rank_rejects_out_of_range():
             box.unrank(r)
     # unreachable configs: each has the piece sequence of the other parity
     for text in ("1,2,3,4,6,5,7,_", "_,7,6,5,4,3,2,1"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"unreachable config: {text}"):
             box.rank(box.parse_config(text))
     # malformed boards: no blank, a repeated piece, nine tokens
     for c in ((1, 2, 3, 4, 5, 6, 7, 8), (1, 1, 3, 4, 5, 6, 7, None),
@@ -160,6 +163,19 @@ def test_lex_sequences_are_built_once():
         box.move_tables()
         assert box.unrank(box.rank(box.SOLVED)) == box.SOLVED
     assert build.call_count == 1
+
+
+def test_block_parity_reads_reachability_once_per_blank_cell():
+    # each block's sequence parity is is_reachable on one sorted sequence,
+    # cached, so no number of rank and unrank calls makes more than 8
+    reachable = mock.Mock(wraps=box.is_reachable)
+    parity = cache(box._seq_parity_for_blank.__wrapped__)
+    with mock.patch.object(box, "is_reachable", reachable), \
+            mock.patch.object(box, "_seq_parity_for_blank", parity):
+        for _ in range(3):
+            for r in range(0, box.N_REACHABLE, 7):
+                assert box.rank(box.unrank(r)) == r
+    assert 0 < reachable.call_count <= 8
 
 
 def test_random_reachable_is_deterministic():

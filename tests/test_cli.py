@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varikon
-from varikon import box, cli, groups
+from varikon import box, cli, groups, solver
 
 
 def run(capsys, *argv):
@@ -100,11 +100,15 @@ def test_solve_rejects_ignored_input(capsys, argv):
     assert err.startswith("error:")
 
 
-def test_solve_unreachable_config(capsys):
-    code, out, err = run(capsys, "solve", "1,2,3,4,6,5,7,_")
+@pytest.mark.parametrize("method, target", [("optimal", "strict")] + [
+    (method, target) for method in ("a6", "a5") for target in solver.MODES])
+def test_solve_unreachable_config(capsys, method, target):
+    # the solve call itself turns the board away, under every method
+    code, out, err = run(capsys, "solve", "1,2,3,4,6,5,7,_",
+                         "--method", method, "--target", target)
     assert code == cli.INPUT_ERROR
     assert out == ""
-    assert "unreachable" in err
+    assert err == "error: unreachable config: 1,2,3,4,6,5,7,_\n"
 
 
 def test_solve_malformed_config(capsys):

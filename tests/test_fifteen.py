@@ -84,6 +84,16 @@ def test_solvable_examples():
     assert not fifteen.is_solvable(swapped)
 
 
+@pytest.mark.parametrize("board", (
+    (1,) * 15 + (None,),                 # a repeated piece
+    tuple(range(1, 15)) + (None,),       # fifteen tokens
+    tuple(range(1, 17)),                 # sixteen tokens, no blank
+))
+def test_non_boards_are_not_solvable(board):
+    for c in (board, list(board)):
+        assert fifteen.is_solvable(c) is False
+
+
 @given(move_words)
 def test_solvability_is_move_invariant(w):
     assert fifteen.is_solvable(fifteen.apply_word(fifteen.SOLVED, w))

@@ -111,7 +111,7 @@ def test_unreachable_input_is_rejected(box_solver):
     with pytest.raises(ValueError):
         box_solver.solve_heuristic_a5(bad)
     for mode in solver.MODES:
-        with pytest.raises(ValueError, match="not a reachable config"):
+        with pytest.raises(ValueError, match="unreachable config"):
             box_solver.setup_phase(bad, mode)
 
 
