@@ -23,6 +23,7 @@ SOLVED = (1, 2, 3, 4, 5, 6, 7, BLANK)
 LETTERS = "RUB"
 AXIS_BIT = {"R": 0, "B": 1, "U": 2}
 STEP = {m: 1 << bit for m, bit in AXIS_BIT.items()}  # blank cell XOR
+_DROP_LETTERS = str.maketrans("", "", LETTERS)
 _TOKENS = frozenset(SOLVED)
 
 N_REACHABLE = 20160  # 8!/2
@@ -44,9 +45,9 @@ def apply_move(c, m: str):
 def parse_word(text: str) -> str:
     if not isinstance(text, str):
         raise ValueError("word must be a string")
-    for ch in text:
-        if ch not in AXIS_BIT:
-            raise ValueError(f"unknown move letter {ch!r} in {text!r}")
+    rest = text.translate(_DROP_LETTERS)  # what is left is not a letter
+    if rest:
+        raise ValueError(f"unknown move letter {rest[0]!r} in {text!r}")
     return text
 
 
@@ -58,8 +59,8 @@ def apply_word(c, text: str):
         return tuple(c)
     cells = list(c)
     b = c.index(BLANK)
-    for m in text:
-        j = b ^ STEP[m]
+    for step in map(STEP.__getitem__, text):
+        j = b ^ step
         cells[b] = cells[j]
         b = j
     cells[b] = BLANK

@@ -17,10 +17,11 @@ are a table, built once, of (word, cell map, frame) per (blank, piece-1)
 pair. Each frame is compiled with the solver too: the cells holding the
 abstract points, the physical XYXY of each signed generator, and the
 frame's target. Each setup entry also carries a compiled read, the
-frame's cells composed through the word's cell map, so a solve scores a
-candidate with one read of the input config and builds the end state
-only for the winner. A list is solved as its tuple, and anything but
-one of the 20,160 reachable configs raises ValueError: setup_phase
+frame's cells composed through the word's cell map: a solve maps the
+input's pieces to abstract points once, scores each candidate with one
+read of them, and keeps the winner's residual; only the winner's end
+state is built. A list is solved as its tuple, and anything but one of
+the 20,160 reachable configs raises ValueError: setup_phase
 turns away a non-board, and box.rank an unreachable board (setup_phase
 ranks its input only when a residual reads odd).
 
@@ -147,7 +148,14 @@ _ODD_RESIDUAL = "set-up residual is odd; frame admission is broken"
 
 # read: state -> the pieces in the cells of abstract points 0..5;
 # expansion: signed generator -> physical XYXY; target: as Rotation.target
-_Frame = namedtuple("_Frame", "read expansion target")
+class _Frame(namedtuple("_Frame", "read expansion target")):
+    __slots__ = ()
+
+    def expand(self, performed) -> str:
+        """Physical moves for abstract letters performed in order: each
+        letter becomes its alternating pair XYXY, conjugated through the
+        frame rotation."""
+        return "".join(map(self.expansion.__getitem__, performed))
 
 
 # phases: (label, word) pairs; target: the config actually reached
@@ -256,16 +264,18 @@ class Solver:
         """Shortest move word making piece 1 opposite the blank with an
         admissible frame for the mode. Among shortest setups the one
         whose residual has the shortest table word wins (then word text,
-        then frame order). Returns (word, state, rotation, residual).
+        then frame order). Returns (word, state, rotation, residual); the
+        residual is the winner's scored one, not read again off the state.
         """
         if not box.is_board(c):
             raise ValueError(f"not a board of the box: {c!r}")
-        point_of, words6 = self._point_of.get, self.table6.entries
+        points = tuple(map(self._point_of.get, c))
+        words6 = self.table6.entries
         best = None
         for w, cells, rot, read in self._setup_words(mode)[box.blank_cell(c),
                                                            c.index(1)]:
-            # the candidate's residual, read straight off the input
-            word6 = words6.get(tuple(map(point_of, read(c))))
+            a = read(points)  # the candidate's residual
+            word6 = words6.get(a)
             if word6 is None:
                 # setup words and frames keep reachability, so an odd
                 # residual means an unreachable input, which box.rank
@@ -273,18 +283,17 @@ class Solver:
                 box.rank(c)
                 raise AssertionError(_ODD_RESIDUAL)
             if best is None or len(word6) < best[0]:
-                best = len(word6), w, cells, rot
-        _, w, cells, rot = best
-        state = tuple(map(c.__getitem__, cells))
-        return w, state, rot, self.residual_abstract(state, rot)
+                best = len(word6), w, cells, rot, a
+        _, w, cells, rot, a = best
+        return w, tuple(map(c.__getitem__, cells)), rot, a
 
     def _setup_words(self, mode: str) -> dict:
         """(blank cell, piece-1 cell) -> (word, cells, frame, read) for
         every shortest setup word of the mode and every frame admitted
         where the word leaves the blank, sorted by (word, bit_perm, mask);
         built once per mode. read is the frame's read composed through the
-        cell map: read(c) takes the six residual pieces of the word's end
-        state straight from the input config c."""
+        cell map: read(points), on the input config mapped to abstract
+        points, gives the residual of the word's end state."""
         table = self._setup_tables.get(mode)
         if table is None:
             goals = [(b, b ^ 7) for b in range(8) if self._frames(b, mode)]
@@ -299,12 +308,6 @@ class Solver:
         return table
 
     # -- heuristics ---------------------------------------------------
-
-    def _expand(self, performed, rot: Rotation) -> str:
-        """Physical moves for abstract letters performed in order: each
-        letter becomes its alternating pair XYXY, conjugated through the
-        frame rotation."""
-        return "".join(map(self._frame[rot].expansion.__getitem__, performed))
 
     def _solve_heuristic(self, c, mode: str, method: str) -> Solution:
         """Setup, the plan rule's letters for the residual a (memoized),
@@ -325,10 +328,11 @@ class Solver:
             # (the last letter performed acts first on the points), so the
             # canceling sequence is the reversed table word of the inverse.
             performed = plans[a] = prefix + word[::-1]
-        phys = self._expand(performed, rot)
+        frame = self._frame[rot]
+        phys = frame.expand(performed)
         return Solution(method, setup_word + phys,
                         (("setup", setup_word), ("word-expansion", phys)),
-                        self._frame[rot].target).replayed(c)
+                        frame.target).replayed(c)
 
     def solve_heuristic_a6(self, c, mode: str = "strict") -> Solution:
         return self._solve_heuristic(c, mode, "heuristic-a6")

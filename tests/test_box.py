@@ -59,6 +59,23 @@ def test_word_grammar_rejects_bad_letters():
             box.parse_word(bad)
 
 
+def test_bad_word_errors_name_the_first_bad_character():
+    cases = {
+        "RxU": "unknown move letter 'x' in 'RxU'",
+        "R U": "unknown move letter ' ' in 'R U'",
+        "rub": "unknown move letter 'r' in 'rub'",
+        "RU\n": "unknown move letter '\\n' in 'RU\\n'",
+        "RÜBx": "unknown move letter 'Ü' in 'RÜBx'",
+        b"RUB": "word must be a string",
+    }
+    for bad, message in cases.items():
+        for check in (box.parse_word,
+                      lambda w: box.apply_word(box.SOLVED, w)):
+            with pytest.raises(ValueError) as err:
+                check(bad)
+            assert str(err.value) == message, bad
+
+
 def test_alternating_pairs_are_three_cycles():
     atoms = box.three_cycle_atoms()
     assert len(atoms) == 6

@@ -34,6 +34,12 @@ def test_validate_rejects_non_bijections():
         perm.validate((0, 3, 1))
 
 
+def test_validate_needs_at_least_one_point():
+    perm.validate((0,))
+    with pytest.raises(ValueError, match="at least one point"):
+        perm.validate(())
+
+
 @given(perms5, perms5)
 def test_parity_is_a_homomorphism(a, b):
     assert perm.parity(perm.compose(a, b)) == (perm.parity(a) + perm.parity(b)) % 2

@@ -22,7 +22,8 @@ def test_expansion_pairs_realize_the_generators(box_solver):
     rot = solver.IDENTITY_ROTATION
     for g, gen in enumerate(A6_GENS, start=1):
         for signed, expected in ((g, gen), (-g, perm.inverse(gen))):
-            image = box.apply_word(box.SOLVED, box_solver._expand((signed,), rot))
+            image = box.apply_word(box.SOLVED,
+                                   box_solver._frame[rot].expand((signed,)))
             on_six = solver._atom_on_six(box.piece_perm(image))
             # beta carries the piece permutation onto the abstract points
             relabeled = [0] * 6
@@ -50,9 +51,10 @@ def test_rotation_catalogue():
 
 def test_identity_frame_keeps_letters(box_solver):
     rel = box_solver.relabel
+    frame = box_solver._frame[solver.IDENTITY_ROTATION]
     for k, (x, y) in enumerate(rel.assign, start=1):
-        assert box_solver._expand((k,), solver.IDENTITY_ROTATION) == 2 * (x + y)
-        assert box_solver._expand((-k,), solver.IDENTITY_ROTATION) == 2 * (y + x)
+        assert frame.expand((k,)) == 2 * (x + y)
+        assert frame.expand((-k,)) == 2 * (y + x)
 
 
 def _set_up_states(rot, rng, count):
@@ -82,7 +84,7 @@ def test_every_frame_expands_letters_onto_the_generators(box_solver):
         for x in _set_up_states(rot, rng, 30):
             a = box_solver.residual_abstract(x, rot)
             for s in letters:
-                moved = box.apply_word(x, box_solver._expand((s,), rot))
+                moved = box.apply_word(x, box_solver._frame[rot].expand((s,)))
                 assert box_solver.residual_abstract(moved, rot) == \
                     perm.compose(letters[s], a)
 
@@ -245,9 +247,9 @@ def test_setup_reads_compose_the_frame_read_with_the_cell_map(box_solver,
                     box_solver.residual_abstract(state, rot)
 
 
-def test_setup_phase_builds_one_residual_per_call(box_solver):
-    # candidates are scored through their compiled reads; only the
-    # winner's end state is built and read as a residual
+def test_setup_phase_reads_no_residual_off_a_state(box_solver):
+    # candidates are scored through their compiled reads on the pre-mapped
+    # input, and the winner's scored residual is returned as it is
     rng = random.Random(39)
     with mock.patch.object(box_solver, "residual_abstract",
                            wraps=box_solver.residual_abstract) as residual:
@@ -255,7 +257,7 @@ def test_setup_phase_builds_one_residual_per_call(box_solver):
             c = box.unrank(rng.randrange(box.N_REACHABLE))
             for mode in solver.MODES:
                 box_solver.setup_phase(c, mode)
-    assert residual.call_count == 150
+    assert residual.call_count == 0
 
 
 def test_replay_rejects_a_wrong_word(box_solver):

@@ -34,14 +34,17 @@ def test_tracer_installs_and_uninstalls():
     try:
         t.install()
         s = solver.Solver()
-        s.solve_heuristic_a5(box.parse_config("1,3,2,4,5,7,6,_"), "rotation")
+        c = box.parse_config("1,3,2,4,5,7,6,_")
+        s.solve_heuristic_a5(c, "rotation")
+        _, state, rot, a = s.setup_phase(c, "rotation")
+        assert s.residual_abstract(state, rot) == a
     finally:
         t.uninstall()
     stats = t.snapshot()["stats"]
-    for name in ("solver.Solver.__init__", "Solver.setup_phase",
-                 "Solver.solve_heuristic_a5"):
+    for name in ("solver.Solver.__init__", "Solver.solve_heuristic_a5",
+                 "Solver.residual_abstract"):
         assert stats[name][0] == 1, name
-    assert stats["Solver.residual_abstract"][0] >= 1
+    assert stats["Solver.setup_phase"][0] == 2
     for module, path, name in tracer.WRAPPED:
         assert _resolve(module, path) is originals[name], name
     assert solver.Solver.__dict__["setup_phase"] is originals["setup_phase"]
