@@ -12,6 +12,7 @@ which pins down everything else (see three_cycle_atoms).
 """
 
 import random
+from collections import namedtuple
 from functools import cache
 from itertools import permutations, product
 from operator import itemgetter
@@ -116,6 +117,50 @@ def is_reachable(c) -> bool:
 def enumerate_reachable() -> set:
     """BFS from the solved state over {R,U,B}."""
     return set(perm.bfs([SOLVED], LETTERS, apply_move))
+
+
+# ---------------------------------------------------------------------------
+# Whole-box rotations and the solve targets. A rotation is a permutation of
+# the 3 coordinate bits combined with a coordinate flip mask; it is
+# orientation-preserving (a physical rotation, not a reflection) iff the
+# bit permutation parity matches the flip count parity.
+
+# cells: physical cell i -> rotated cell index; bit_perm: physical axis
+# bit a -> rotated axis bit; mask: the coordinate flips
+class Rotation(namedtuple("Rotation", "cells bit_perm mask")):
+    __slots__ = ()
+
+    def target(self):
+        """Image of the solved state in this rotated frame: the config
+        that looks solved once the box is turned by the rotation."""
+        return config_of(self.cells)
+
+
+def all_rotations() -> list[Rotation]:
+    out = []
+    for bp in permutations(range(3)):
+        moved = [sum(1 << bp[a] for a in range(3) if i >> a & 1)
+                 for i in range(8)]
+        for mask in range(8):
+            if perm.parity(bp) == mask.bit_count() % 2:
+                out.append(Rotation(tuple(c ^ mask for c in moved), bp, mask))
+    return out
+
+
+IDENTITY_ROTATION = Rotation(tuple(range(8)), (0, 1, 2), 0)
+
+# the rotations whose rotated-solved image can actually be reached: exactly
+# 12 of the 24 (the parity rule rules out the rest)
+ROTATIONS = tuple(r for r in all_rotations() if is_reachable(r.target()))
+
+# each solve mode's targets: strict, the solved state; center, solved up to
+# the rotations that keep the axes in place (the solved state and its three
+# half-turn images, the center of the move group); rotation, all of them
+TARGET_FRAMES = {
+    "strict": (IDENTITY_ROTATION,),
+    "center": tuple(r for r in ROTATIONS if r.bit_perm == (0, 1, 2)),
+    "rotation": ROTATIONS,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -18,29 +18,21 @@ _WORD_TOKEN = re.compile(r"([RU])([0-9]*)")
 
 
 def apply_move(c, m: str):
+    """The blank steps one cell along its line, cyclically: left along its
+    row for R, down its column for U. The line's other three pieces keep
+    their cyclic order, so from the last cell the whole line shifts."""
     cells = list(c)
-    b = blank_cell(c)
-    row, col = divmod(b, 4)
+    row, col = divmod(blank_cell(c), 4)
     if m == "R":
-        if col > 0:
-            cells[b], cells[b - 1] = cells[b - 1], cells[b]
-        else:
-            # blank in column 0: whole row shifts one column left,
-            # blank wraps to column 3
-            old = cells[4 * row : 4 * row + 4]
-            cells[4 * row : 4 * row + 4] = old[1:] + old[:1]
+        line, new = slice(4 * row, 4 * row + 4), (col - 1) % 4
     elif m == "U":
-        if row < 3:
-            cells[b], cells[b + 4] = cells[b + 4], cells[b]
-        else:
-            # blank in row 3: whole column shifts one row down,
-            # blank wraps to row 0
-            old = [cells[4 * r + col] for r in range(4)]
-            new = old[-1:] + old[:-1]
-            for r in range(4):
-                cells[4 * r + col] = new[r]
+        line, new = slice(col, 16, 4), (row + 1) % 4
     else:
         raise ValueError(f"unknown move letter {m!r}")
+    pieces = cells[line]
+    pieces.remove(BLANK)
+    pieces.insert(new, BLANK)
+    cells[line] = pieces
     return tuple(cells)
 
 

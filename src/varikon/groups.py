@@ -114,17 +114,16 @@ CENTER_WORDS = (
     "RURUBUBRBUBUBRBUBU",
 )
 
-# a half-turn about the axis of bit k flips the other two bits
+# the axis a half-turn keeps, named by its letter: the one bit its mask
+# leaves alone
 _AXIS_OF_MASK = {7 ^ (1 << k): m for m, k in box.AXIS_BIT.items()}
 
 
-def half_turn_image(mask: int):
-    """Image of the solved state under the 180-degree whole-box rotation
-    that maps cell j to j ^ mask (mask has two bits set)."""
-    return tuple(box.SOLVED[j ^ mask] for j in range(8))
-
-
 def verify_center_words(table: DistanceTable, center_ranks) -> Report:
+    """The center words against the computed center, whose images must be
+    the solver's center targets (box.TARGET_FRAMES["center"]): the solved
+    state and the three half-turn images, keyed by their flip masks."""
+    images = {r.mask: r.target() for r in box.TARGET_FRAMES["center"]}
     rep = Report("center words")
     center_canons = {box.unrank(z) for z in center_ranks}
     rep.add("|Z|", 4, len(center_ranks))
@@ -147,8 +146,7 @@ def verify_center_words(table: DistanceTable, center_ranks) -> Report:
         rep.add(f"word {i} in computed center", True, z in center_ranks)
         mask = box.blank_cell(canon) ^ 7
         rep.add(f"word {i} image is a half-turn image",
-                half_turn_image(mask) if mask in _AXIS_OF_MASK else None,
-                canon,
+                images.get(mask) if mask else None, canon,
                 note=f"axis {_AXIS_OF_MASK.get(mask, '?')}")
         sample = ["".join(rng.choice(box.LETTERS) for _ in range(rng.randrange(1, 25)))
                   for _ in range(100)]
@@ -158,8 +156,7 @@ def verify_center_words(table: DistanceTable, center_ranks) -> Report:
     rep.add("center words + identity exhaust the center",
             center_canons, word_canons | {box.SOLVED})
     rep.add("center images are the solved state and its three half-turns",
-            {box.SOLVED} | {half_turn_image(m) for m in _AXIS_OF_MASK},
-            center_canons)
+            set(images.values()), center_canons)
     return rep
 
 

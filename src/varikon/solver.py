@@ -7,35 +7,30 @@ its shortest word over the three 3-cycle generators, and expands each
 abstract letter into a 4-move alternating pair. "Orientation freely
 changed" is realized as conjugation by a whole-box rotation: the chosen
 rotation relabels cells and move letters consistently and costs no
-moves. Only rotations whose rotated-solved image is itself reachable
-are usable (half of the 24), which constrains where the blank may sit
-after setup; the setup search therefore deepens past the nominal two
-moves when required. Whether a state ends a setup depends only on the
-blank's cell and piece 1's cell, and a word moves cells the same way on
-every config with the same blank cell, so each mode's setup candidates
-are a table, built once, of (word, cell map, frame) per (blank, piece-1)
-pair. Each frame is compiled with the solver too: the cells holding the
-abstract points, the physical XYXY of each signed generator, and the
-frame's target. Each setup entry also carries a compiled read, the
-frame's cells composed through the word's cell map: a solve maps the
-input's pieces to abstract points once, scores each candidate with one
-read of them, and keeps the winner's residual; only the winner's end
-state is built. A list is solved as its tuple, and anything but one of
-the 20,160 reachable configs raises ValueError: setup_phase
-turns away a non-board, and box.rank an unreachable board (setup_phase
-ranks its input only when a residual reads odd).
+moves. The usable rotations are box.ROTATIONS (half of the 24), and each
+target mode's share of them is box.TARGET_FRAMES, the one home of the
+solve targets; this constrains where the blank may sit after setup, so
+the setup search deepens past the nominal two moves when required.
+Whether a state ends a setup depends only on the blank's cell and piece
+1's cell, and a word moves cells the same way on every config with the
+same blank cell, so each mode's setup candidates are a table, built
+once, of (word, cell map, frame) per (blank, piece-1) pair. Each frame
+is compiled with the solver too: the cells holding the abstract points,
+the physical XYXY of each signed generator, and the frame's target. Each
+setup entry also carries a compiled read, the frame's cells composed
+through the word's cell map: a solve maps the input's pieces to abstract
+points once, scores each candidate with one read of them, and keeps the
+winner's residual; only the winner's end state is built. A list is
+solved as its tuple, and anything but one of the 20,160 reachable
+configs raises ValueError: setup_phase turns away a non-board, and
+box.rank an unreachable board (setup_phase ranks its input only when a
+residual reads odd).
 
 Both heuristics follow one plan rule: of the shortest prefixes homing
 abstract point 6 (A5: up to two generator applications; A6: only the
 empty one), the one leaving the shortest table word. A plan depends on
 the residual alone, so each method keeps one memo of them (at most 360),
 filled on first use. Every answer, optimal too, is replayed by one check.
-
-Three solve targets are supported:
-  strict   - the solved state itself (identity rotation only);
-  center   - solved up to the three half-turn images (the center),
-             i.e. the rotations that keep the axes in place;
-  rotation - solved up to any reachable whole-box rotation.
 """
 
 from collections import namedtuple
@@ -45,47 +40,9 @@ from operator import itemgetter
 
 from . import box, groups, perm, words
 
-MODES = ("strict", "center", "rotation")
+MODES = tuple(box.TARGET_FRAMES)
 
 _BIT_LETTER = {bit: letter for letter, bit in box.AXIS_BIT.items()}
-
-
-# ---------------------------------------------------------------------------
-# Whole-box rotations. A rotation is a permutation of the 3 coordinate
-# bits combined with a coordinate flip mask; it is orientation-preserving
-# (a physical rotation, not a reflection) iff the bit permutation parity
-# matches the flip count parity.
-
-# cells: physical cell i -> rotated cell index; bit_perm: physical axis
-# bit a -> rotated axis bit; mask: the coordinate flips
-class Rotation(namedtuple("Rotation", "cells bit_perm mask")):
-    __slots__ = ()
-
-    def target(self):
-        """Image of the solved state in this rotated frame: the config
-        that looks solved once the box is turned by the rotation."""
-        return box.config_of(self.cells)
-
-
-def all_rotations() -> list[Rotation]:
-    out = []
-    for bp in permutations(range(3)):
-        for mask in range(8):
-            if perm.parity(bp) == bin(mask).count("1") % 2:
-                cells = tuple(sum(1 << bp[a] for a in range(3) if i >> a & 1)
-                              ^ mask for i in range(8))
-                out.append(Rotation(cells, bp, mask))
-    return out
-
-
-def reachable_rotations() -> list[Rotation]:
-    """Rotations whose rotated-solved image can actually be reached;
-    exactly 12 of the 24 qualify (the puzzle's parity invariant rules
-    out the rest)."""
-    return [r for r in all_rotations() if box.is_reachable(r.target())]
-
-
-IDENTITY_ROTATION = Rotation(tuple(range(8)), (0, 1, 2), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +62,15 @@ def _atom_on_six(atom7: perm.Perm) -> perm.Perm:
     return tuple(atom7[i + 1] - 1 for i in range(6))
 
 
-def relabel_map() -> Relabel:
+def relabel_map(letters: dict) -> Relabel:
     """Search the 720 bijections {pieces 2..7} -> {points 1..6} for those
-    conjugating the three alternating-pair cycles onto the three abstract
-    generators (each possibly onto the inverse). Six bijections qualify;
-    the one with the fewest inverted matches (then least image tuple) is
-    taken, so the choice is deterministic.
+    conjugating the three alternating-pair cycles onto the signed
+    generators in letters ({+k: generator k, -k: its inverse}, as
+    words.WordTable.letters). Six bijections qualify for the A6
+    generators; the one with the fewest inverted matches (then least
+    image tuple) is taken, so the choice is deterministic.
     """
-    signed = {}  # generator k -> +k, its inverse -> -k
-    for k, text in enumerate(words.A6_GENERATOR_CYCLES, start=1):
-        g = perm.parse_cycles(text, 6)
-        signed[g], signed[perm.inverse(g)] = k, -k
+    signed = {p: s for s, p in letters.items()}
     atoms = box.three_cycle_atoms()
     sigmas = [_atom_on_six(atoms[pair]) for pair in _SUBPROBLEM_PAIRS]
 
@@ -147,7 +102,7 @@ def relabel_map() -> Relabel:
 _ODD_RESIDUAL = "set-up residual is odd; frame admission is broken"
 
 # read: state -> the pieces in the cells of abstract points 0..5;
-# expansion: signed generator -> physical XYXY; target: as Rotation.target
+# expansion: signed generator -> physical XYXY; target: as box.Rotation.target
 class _Frame(namedtuple("_Frame", "read expansion target")):
     __slots__ = ()
 
@@ -183,19 +138,14 @@ class Solver:
     def __init__(self):
         self.table5 = words.build_a5_table()
         self.table6 = words.build_a6_table()
-        self.relabel = relabel_map()
-        self.rotations = reachable_rotations()
-        self._mode_frames = {
-            "strict": [IDENTITY_ROTATION],
-            "center": [r for r in self.rotations if r.bit_perm == (0, 1, 2)],
-            "rotation": self.rotations}
+        self.relabel = relabel_map(self.table6.letters)
         self._point_of = dict(enumerate(self.relabel.beta, start=2))
         piece_at = perm.inverse(self.relabel.beta)  # point -> piece - 2
         pairs = {}
         for k, (x, y) in enumerate(self.relabel.assign, start=1):
             pairs[k], pairs[-k] = x + y, y + x
-        self._frame: dict[Rotation, _Frame] = {}
-        for rot in self.rotations:
+        self._frame: dict[box.Rotation, _Frame] = {}
+        for rot in box.ROTATIONS:
             # point q is read from the cell where the frame's target holds
             # the piece that beta sends to q
             cell_of = perm.inverse(rot.cells)
@@ -244,15 +194,15 @@ class Solver:
 
     # -- setup --------------------------------------------------------
 
-    def _frames(self, b: int, mode: str) -> list[Rotation]:
-        """Frames of the mode usable with the blank in cell b and piece 1
-        opposite it."""
-        frames = self._mode_frames.get(mode)
+    def _frames(self, b: int, mode: str) -> list[box.Rotation]:
+        """Frames of the mode (box.TARGET_FRAMES) usable with the blank
+        in cell b and piece 1 opposite it."""
+        frames = box.TARGET_FRAMES.get(mode)
         if frames is None:
             raise ValueError(f"unknown target mode {mode!r}")
         return [r for r in frames if r.cells.index(7) == b]
 
-    def residual_abstract(self, state, rot: Rotation) -> perm.Perm:
+    def residual_abstract(self, state, rot: box.Rotation) -> perm.Perm:
         """The six unsolved pieces of a set-up state, as a permutation of
         the abstract points."""
         a = tuple(map(self._point_of.get, self._frame[rot].read(state)))

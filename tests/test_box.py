@@ -142,6 +142,19 @@ def test_rank_unrank_round_trip():
         assert box.rank(box.unrank(r)) == r
 
 
+def test_target_frames_nest_from_identity_to_every_rotation():
+    frames = box.TARGET_FRAMES
+    assert list(frames) == ["strict", "center", "rotation"]
+    assert frames["strict"] == (box.IDENTITY_ROTATION,)
+    center = frames["center"]
+    assert len(center) == 4
+    assert {r.bit_perm for r in center} == {(0, 1, 2)}
+    assert {r.mask for r in center} == {0, 3, 5, 6}
+    assert frames["rotation"] == box.ROTATIONS
+    assert len(box.ROTATIONS) == 12
+    assert set(frames["strict"]) < set(center) < set(frames["rotation"])
+
+
 def test_rank_rejects_out_of_range():
     for r in (-1, box.N_REACHABLE):
         with pytest.raises(ValueError):

@@ -89,8 +89,9 @@ def test_word_to_is_a_shortest_witness(distance_table):
 
 
 def test_center_is_identity_plus_half_turns(distance_table, center_elements):
-    canons = {box.unrank(z) for z in center_elements}
-    assert canons == {box.SOLVED} | {groups.half_turn_image(m) for m in (3, 5, 6)}
+    # the solver's center mode aims at exactly the computed center
+    assert set(center_elements) == {
+        box.rank(r.target()) for r in box.TARGET_FRAMES["center"]}
     for z in center_elements:
         assert (box.apply_word(box.SOLVED, distance_table.word_to(z))
                 == box.unrank(z))
@@ -109,9 +110,10 @@ def test_center_words_report(distance_table, center_elements):
 
 
 def test_half_turn_images():
-    assert groups.half_turn_image(6) == (7, None, 5, 6, 3, 4, 1, 2)
-    assert groups.half_turn_image(5) == (6, 5, None, 7, 2, 1, 4, 3)
-    assert groups.half_turn_image(3) == (4, 3, 2, 1, None, 7, 6, 5)
+    images = {r.mask: r.target() for r in box.TARGET_FRAMES["center"]}
+    assert images[6] == (7, None, 5, 6, 3, 4, 1, 2)
+    assert images[5] == (6, 5, None, 7, 2, 1, 4, 3)
+    assert images[3] == (4, 3, 2, 1, None, 7, 6, 5)
 
 
 def test_kernel_report(distance_table):

@@ -11,15 +11,15 @@ from varikon import box, groups, perm, solver, words
 A6_GENS = [perm.parse_cycles(t, 6) for t in words.A6_GENERATOR_CYCLES]
 
 
-def test_relabeling_is_the_frozen_choice():
-    rel = solver.relabel_map()
+def test_relabeling_is_the_frozen_choice(a6_table):
+    rel = solver.relabel_map(a6_table.letters)
     assert rel.beta == (1, 5, 0, 3, 2, 4)
     assert rel.assign == (("U", "B"), ("B", "R"), ("R", "U"))
 
 
-def test_expansion_pairs_realize_the_generators(box_solver):
-    rel = solver.relabel_map()
-    rot = solver.IDENTITY_ROTATION
+def test_expansion_pairs_realize_the_generators(box_solver, a6_table):
+    rel = solver.relabel_map(a6_table.letters)
+    rot = box.IDENTITY_ROTATION
     for g, gen in enumerate(A6_GENS, start=1):
         for signed, expected in ((g, gen), (-g, perm.inverse(gen))):
             image = box.apply_word(box.SOLVED,
@@ -34,16 +34,16 @@ def test_expansion_pairs_realize_the_generators(box_solver):
 
 
 def test_rotation_catalogue():
-    rotations = solver.all_rotations()
+    rotations = box.all_rotations()
     assert len(rotations) == 24
     assert len({r.cells for r in rotations}) == 24
-    assert solver.IDENTITY_ROTATION in rotations
+    assert box.IDENTITY_ROTATION in rotations
     # rotations are values: equal ones hash alike and serve as dict keys
-    fresh = solver.Rotation(tuple(range(8)), (0, 1, 2), 0)
-    assert hash(fresh) == hash(solver.IDENTITY_ROTATION)
+    fresh = box.Rotation(tuple(range(8)), (0, 1, 2), 0)
+    assert hash(fresh) == hash(box.IDENTITY_ROTATION)
     assert {r: i for i, r in enumerate(rotations)}[fresh] == \
-        rotations.index(solver.IDENTITY_ROTATION)
-    reachable = solver.reachable_rotations()
+        rotations.index(box.IDENTITY_ROTATION)
+    reachable = box.ROTATIONS
     assert len(reachable) == 12
     for r in rotations:
         assert box.is_reachable(r.target()) == (r in reachable)
@@ -51,7 +51,7 @@ def test_rotation_catalogue():
 
 def test_identity_frame_keeps_letters(box_solver):
     rel = box_solver.relabel
-    frame = box_solver._frame[solver.IDENTITY_ROTATION]
+    frame = box_solver._frame[box.IDENTITY_ROTATION]
     for k, (x, y) in enumerate(rel.assign, start=1):
         assert frame.expand((k,)) == 2 * (x + y)
         assert frame.expand((-k,)) == 2 * (y + x)
@@ -79,8 +79,8 @@ def test_every_frame_expands_letters_onto_the_generators(box_solver):
     # generator before the residual, as the word phase assumes
     rng = random.Random(36)
     letters = box_solver.table6.letters
-    assert len(box_solver.rotations) == 12
-    for rot in box_solver.rotations:
+    assert len(box_solver._frame) == 12
+    for rot in box.ROTATIONS:
         for x in _set_up_states(rot, rng, 30):
             a = box_solver.residual_abstract(x, rot)
             for s in letters:
@@ -100,7 +100,7 @@ def test_setup_on_solved_is_empty(box_solver):
     word, state, rot, residual = box_solver.setup_phase(box.SOLVED, "strict")
     assert word == ""
     assert state == box.SOLVED
-    assert rot == solver.IDENTITY_ROTATION
+    assert rot == box.IDENTITY_ROTATION
     assert residual == perm.identity(6)
 
 
@@ -122,7 +122,7 @@ def test_odd_residual_of_a_reachable_input_is_a_fault():
     # read the right cells: with two of them swapped, the solved state
     # reads odd and the setup reports broken frames
     s = solver.Solver()
-    rot = solver.IDENTITY_ROTATION
+    rot = box.IDENTITY_ROTATION
     cells = s._frame[rot].read.__reduce__()[1]
     s._frame[rot] = s._frame[rot]._replace(
         read=itemgetter(cells[1], cells[0], *cells[2:]))
