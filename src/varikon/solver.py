@@ -18,19 +18,26 @@ once, of (word, cell map, frame) per (blank, piece-1) pair. Each frame
 is compiled with the solver too: the cells holding the abstract points,
 the physical XYXY of each signed generator, and the frame's target. Each
 setup entry also carries a compiled read, the frame's cells composed
-through the word's cell map: a solve maps the input's pieces to abstract
-points once, scores each candidate with one read of them, and keeps the
-winner's residual; only the winner's end state is built. A list is
-solved as its tuple, and anything but one of the 20,160 reachable
-configs raises ValueError: setup_phase turns away a non-board, and
-box.rank an unreachable board (setup_phase ranks its input only when a
-residual reads odd).
+through the word's cell map. All candidates of a pair read the six cells
+holding neither the blank nor piece 1, so each one's residual is a fixed
+reordering of the first one's, a0, and the setup choice depends only on
+the pair's pattern of reorderings and on a0. The one setup memo keeps
+the winner per pattern and place of a0 in the A6 table (at most patterns
+x 360 choices, filled on use; a pair is grouped on its first solve): a
+warm setup reads a0 and the winner's residual, and only an empty slot
+scores the candidates, each on the input mapped to abstract points by
+one read. Only the winner's end state is built. A list is solved as its
+tuple, and anything but one of the 20,160 reachable configs raises
+ValueError: setup_phase turns away a non-board, and box.rank an
+unreachable board (setup_phase ranks its input only when a residual
+reads odd).
 
 Both heuristics follow one plan rule: of the shortest prefixes homing
 abstract point 6 (A5: up to two generator applications; A6: only the
 empty one), the one leaving the shortest table word. A plan depends on
 the residual alone, so each method keeps one memo of them (at most 360),
-filled on first use. Every answer, optimal too, is replayed by one check.
+filled on first use, beside the setup memo. Every answer, optimal too,
+is replayed by one check.
 """
 
 from collections import namedtuple
@@ -100,6 +107,15 @@ def relabel_map(letters: dict) -> Relabel:
 # ---------------------------------------------------------------------------
 
 _ODD_RESIDUAL = "set-up residual is odd; frame admission is broken"
+_EMPTY = 0xFF  # a setup slot not yet filled; a pair has at most 36 candidates
+
+
+def _odd_residual(c) -> AssertionError:
+    """Setup words and frames keep reachability, so an odd residual means
+    an unreachable input, which box.rank turns away, or broken frames."""
+    box.rank(c)
+    return AssertionError(_ODD_RESIDUAL)
+
 
 # read: state -> the pieces in the cells of abstract points 0..5;
 # expansion: signed generator -> physical XYXY; target: as box.Rotation.target
@@ -157,6 +173,17 @@ class Solver:
                  for s, xy in pairs.items()},
                 rot.target())
         self._setup_tables: dict[str, dict] = {}
+        # the A6 residuals in table order, and each one's place keyed by the
+        # pieces an input holds in the abstract points' cells
+        self._residuals = list(self.table6.entries)
+        piece_of = [i + 2 for i in piece_at].__getitem__
+        self._place = {tuple(map(piece_of, a)): i
+                       for i, a in enumerate(self._residuals)}
+        # setup choices: (mode, blank cell, piece-1 cell) -> (candidates,
+        # first candidate's read, slots), grouped on first use; pattern ->
+        # slots, the winner's index per place of the first residual
+        self._setup_choices: dict[tuple, tuple] = {}
+        self._patterns: dict[tuple, bytearray] = {}
         # the shortest A5 prefixes (at most two generator applications) per
         # point they home, as (prefix, effect) in alphabet order; the effect
         # is the point action of performing the prefix's letters in order,
@@ -214,28 +241,64 @@ class Solver:
         """Shortest move word making piece 1 opposite the blank with an
         admissible frame for the mode. Among shortest setups the one
         whose residual has the shortest table word wins (then word text,
-        then frame order). Returns (word, state, rotation, residual); the
-        residual is the winner's scored one, not read again off the state.
+        then frame order). Returns (word, state, rotation, residual).
+
+        Every candidate of a (blank, piece-1) pair reads the six cells
+        holding neither, so candidate k's residual is a fixed reordering
+        of the first one's, a0: the winner depends on the pair's pattern
+        of reorderings and on a0 alone. Each pattern keeps the winner per
+        place of a0 in the A6 table, filled on use (at most patterns x
+        360, beside the plan memo), so a warm setup reads a0, its slot
+        and the winner's residual; only an empty slot scores candidates.
         """
         if not box.is_board(c):
             raise ValueError(f"not a board of the box: {c!r}")
+        key = mode, box.blank_cell(c), c.index(1)
+        choice = self._setup_choices.get(key)
+        if choice is None:
+            choice = self._setup_choices[key] = self._setup_choice(*key)
+        entries, read0, slots = choice
+        place = self._place.get(read0(c))
+        if place is None:
+            raise _odd_residual(c)
+        k = slots[place]
+        if k == _EMPTY:
+            k = slots[place] = self._first_shortest(c, entries)
+        w, cells, rot, read = entries[k]
+        return (w, tuple(map(c.__getitem__, cells)), rot,
+                self._residuals[self._place[read(c)]])
+
+    def _setup_choice(self, mode: str, b: int, p: int) -> tuple:
+        """The pair's candidates, the first one's read, and the slots of
+        the pair's pattern: per candidate, where in the first residual
+        each of its points is read."""
+        entries = self._setup_words(mode)[b, p]
+        sources = [self._frame[rot].read(cells)
+                   for _, cells, rot, _ in entries]
+        six = set(range(8)) - {b, p}
+        if any(set(src) != six for src in sources):
+            raise AssertionError("a setup candidate reads a cell outside "
+                                 "the six its pair leaves to the pieces")
+        pattern = tuple(tuple(map(sources[0].index, src)) for src in sources)
+        slots = self._patterns.get(pattern)
+        if slots is None:
+            slots = self._patterns[pattern] = bytearray(
+                [_EMPTY]) * len(self._residuals)
+        return entries, entries[0][3], slots
+
+    def _first_shortest(self, c, entries) -> int:
+        """Index of the first candidate whose residual has the shortest
+        table word, scored on the input's pieces mapped to abstract
+        points; any odd residual is turned away."""
         points = tuple(map(self._point_of.get, c))
         words6 = self.table6.entries
-        best = None
-        for w, cells, rot, read in self._setup_words(mode)[box.blank_cell(c),
-                                                           c.index(1)]:
-            a = read(points)  # the candidate's residual
-            word6 = words6.get(a)
+        lengths = []
+        for *_, read in entries:
+            word6 = words6.get(read(points))
             if word6 is None:
-                # setup words and frames keep reachability, so an odd
-                # residual means an unreachable input, which box.rank
-                # turns away, or broken frames
-                box.rank(c)
-                raise AssertionError(_ODD_RESIDUAL)
-            if best is None or len(word6) < best[0]:
-                best = len(word6), w, cells, rot, a
-        _, w, cells, rot, a = best
-        return w, tuple(map(c.__getitem__, cells)), rot, a
+                raise _odd_residual(c)
+            lengths.append(len(word6))
+        return lengths.index(min(lengths))
 
     def _setup_words(self, mode: str) -> dict:
         """(blank cell, piece-1 cell) -> (word, cells, frame, read) for

@@ -249,7 +249,8 @@ def test_setup_reads_compose_the_frame_read_with_the_cell_map(box_solver,
 
 def test_setup_phase_reads_no_residual_off_a_state(box_solver):
     # candidates are scored through their compiled reads on the pre-mapped
-    # input, and the winner's scored residual is returned as it is
+    # input, and the winner's residual is read off the input, never off
+    # its set-up state
     rng = random.Random(39)
     with mock.patch.object(box_solver, "residual_abstract",
                            wraps=box_solver.residual_abstract) as residual:
@@ -435,3 +436,117 @@ def test_rotation_sweep_statistics(box_solver):
     summary, _ = box_solver.compare_all(mode="rotation")
     assert summary["a6_max"] == 21
     assert summary["a5_max"] == 32
+
+
+PATTERNS = {"strict": 23, "center": 8, "rotation": 8}
+
+
+def _slots_of(s, mode):
+    """The slots of the mode's patterns, one per pattern, by pattern."""
+    used = {id(slots) for (m, _, _), (_, _, slots)
+            in s._setup_choices.items() if m == mode}
+    return {pattern: slots for pattern, slots in s._patterns.items()
+            if id(slots) in used}
+
+
+class _CountedReads(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_setup_memo_is_exact_and_bounded(box_solver):
+    # a filled slot holds the first candidate of least table word among
+    # its pattern's reorderings of the first residual, scored afresh
+    s = box_solver
+    for mode in solver.MODES:
+        s.compare_all(mode)
+        patterns = _slots_of(s, mode)
+        assert len(patterns) == PATTERNS[mode]
+        filled = 0
+        for pattern, slots in patterns.items():
+            assert len(slots) == len(s.table6)
+            for place, k in enumerate(slots):
+                if k == solver._EMPTY:
+                    continue
+                filled += 1
+                a0 = s._residuals[place]
+                lengths = [s.table6.length_of(tuple(a0[t] for t in tau))
+                           for tau in pattern]
+                assert k == lengths.index(min(lengths)), (mode, pattern)
+        # a sweep meets every residual of every pair: the bound is reached
+        assert filled == len(patterns) * len(s.table6)
+    # a warm sweep scores no candidate: each setup reads the first
+    # residual and the winner's, and nothing else
+    configs = [box.unrank(r) for r in range(box.N_REACHABLE)]
+    with mock.patch.object(s, "_place", _CountedReads(s._place)), \
+            mock.patch.object(s, "_first_shortest",
+                              wraps=s._first_shortest) as scored:
+        for mode in solver.MODES:
+            for c in configs:
+                s.setup_phase(c, mode)
+        assert scored.call_count == 0
+        assert s._place.reads == 2 * len(solver.MODES) * len(configs)
+
+
+def test_setup_slots_fill_one_per_scoring():
+    s = solver.Solver()
+    rng = random.Random(43)
+    configs = [box.unrank(rng.randrange(box.N_REACHABLE)) for _ in range(500)]
+    with mock.patch.object(s, "_first_shortest",
+                           wraps=s._first_shortest) as scored:
+        for c in configs:
+            s.setup_phase(c, "rotation")
+    filled = sum(k != solver._EMPTY for slots in s._patterns.values()
+                 for k in slots)
+    assert 0 < scored.call_count == filled < len(configs)
+    # pairs are grouped on first use, not when the table is built
+    assert {(b, p) for _, b, p in s._setup_choices} == \
+        {(box.blank_cell(c), c.index(1)) for c in configs}
+
+
+def test_setup_memo_fill_order_does_not_matter():
+    warm = solver.Solver()
+    for mode in solver.MODES:
+        for r in reversed(range(box.N_REACHABLE)):
+            warm.setup_phase(box.unrank(r), mode)
+    rng = random.Random(44)
+    configs = [box.unrank(rng.randrange(box.N_REACHABLE))
+               for _ in range(2000)]
+    cold = solver.Solver()
+    for mode in solver.MODES:
+        for method in ("solve_heuristic_a6", "solve_heuristic_a5"):
+            for c in configs:
+                assert getattr(cold, method)(c, mode) == \
+                    getattr(warm, method)(c, mode), (mode, method, c)
+
+
+def test_warm_setup_memo_still_rejects_an_unreachable_board(box_solver):
+    bad = box.parse_config("1,2,3,4,6,5,7,_")
+    for mode in solver.MODES:
+        box_solver.setup_phase(box.SOLVED, mode)  # the same pair
+        _, _, slots = box_solver._setup_choices[mode, 7, 0]
+        assert any(k != solver._EMPTY for k in slots)
+        for solve in (box_solver.setup_phase, box_solver.solve_heuristic_a6,
+                      box_solver.solve_heuristic_a5):
+            with pytest.raises(ValueError, match="unreachable config"):
+                solve(bad, mode)
+
+
+def test_setup_candidates_must_read_their_pairs_six_cells():
+    # the memo is exact only while every candidate of a pair reads the
+    # cells holding neither the blank nor piece 1
+    s = solver.Solver()
+    rot = box.IDENTITY_ROTATION
+    cells = s._frame[rot].read.__reduce__()[1]
+    s._frame[rot] = s._frame[rot]._replace(read=itemgetter(7, *cells[1:]))
+    with pytest.raises(AssertionError, match="outside the six"):
+        s.setup_phase(box.SOLVED)
