@@ -101,7 +101,10 @@ def piece_perm(c) -> perm.Perm:
 
 def is_board(c) -> bool:
     """Whether c holds each of the seven pieces and the blank once."""
-    return len(c) == 8 and set(c) == _TOKENS
+    try:
+        return len(c) == 8 and set(c) == _TOKENS
+    except TypeError:  # not a sized iterable, or an unhashable token
+        return False
 
 
 def is_reachable(c) -> bool:
@@ -198,9 +201,9 @@ def _lex_sequences():
 
 
 def rank(c) -> int:
-    c = tuple(c)
     if not is_board(c):
         raise ValueError(f"not a board of the box: {c!r}")
+    c = tuple(c)
     b = blank_cell(c)
     h = _lex_sequences()[1][_seq_parity_for_blank(b)].get(c[:b] + c[b + 1:])
     if h is None:

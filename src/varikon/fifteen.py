@@ -70,7 +70,10 @@ def is_solvable(c) -> bool:
     """Parity test: solvable iff the 16-point permutation parity equals
     the parity of the blank's taxicab distance to the home corner. A board
     that is not an arrangement of the 15 pieces and the blank is not."""
-    if len(c) != 16 or set(c) != set(SOLVED):
+    try:
+        if len(c) != 16 or set(c) != set(SOLVED):
+            return False
+    except TypeError:  # not a sized iterable, or an unhashable token
         return False
     row, col = divmod(blank_cell(c), 4)
     distance = (3 - row) + (3 - col)

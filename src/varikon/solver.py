@@ -16,21 +16,19 @@ Whether a state ends a setup depends only on the blank's cell and piece
 same blank cell, so each mode's setup candidates are a table, built
 once, of (word, cell map, frame) per (blank, piece-1) pair. Each frame
 is compiled with the solver too: the cells holding the abstract points,
-the physical XYXY of each signed generator, and the frame's target. Each
-setup entry also carries a compiled read, the frame's cells composed
-through the word's cell map. All candidates of a pair read the six cells
-holding neither the blank nor piece 1, so each one's residual is a fixed
-reordering of the first one's, a0, and the setup choice depends only on
-the pair's pattern of reorderings and on a0. The one setup memo keeps
-the winner per pattern and place of a0 in the A6 table (at most patterns
-x 360 choices, filled on use; a pair is grouped on its first solve): a
-warm setup reads a0 and the winner's residual, and only an empty slot
-scores the candidates, each on the input mapped to abstract points by
-one read. Only the winner's end state is built. A list is solved as its
+the physical XYXY of each signed generator, and the frame's target. All
+candidates of a pair read the six cells holding neither the blank nor
+piece 1, so each one's residual is a fixed reordering of the first
+one's, a0: the pair's pattern of reorderings is the solver's one model
+of its candidates' residuals. A pair is grouped on its first solve,
+which checks that every reordering is even. The one setup memo keeps the
+winner per pattern and place of a0 in the A6 table (at most patterns x
+360 choices, filled on use): a setup reads a0 once, and only an empty
+slot scores the candidates, as the pattern's reorderings of a0. The
+winner's residual is its reordering of a0. A list is solved as its
 tuple, and anything but one of the 20,160 reachable configs raises
 ValueError: setup_phase turns away a non-board, and box.rank an
-unreachable board (setup_phase ranks its input only when a residual
-reads odd).
+unreachable board (setup_phase ranks its input only when a0 reads odd).
 
 Both heuristics follow one plan rule: of the shortest prefixes homing
 abstract point 6 (A5: up to two generator applications; A6: only the
@@ -155,7 +153,6 @@ class Solver:
         self.table5 = words.build_a5_table()
         self.table6 = words.build_a6_table()
         self.relabel = relabel_map(self.table6.letters)
-        self._point_of = dict(enumerate(self.relabel.beta, start=2))
         piece_at = perm.inverse(self.relabel.beta)  # point -> piece - 2
         pairs = {}
         for k, (x, y) in enumerate(self.relabel.assign, start=1):
@@ -180,10 +177,12 @@ class Solver:
         self._place = {tuple(map(piece_of, a)): i
                        for i, a in enumerate(self._residuals)}
         # setup choices: (mode, blank cell, piece-1 cell) -> (candidates,
-        # first candidate's read, slots), grouped on first use; pattern ->
-        # slots, the winner's index per place of the first residual
+        # first candidate's read, reorderings, slots), grouped on first
+        # use; pattern -> (reorderings, slots): per candidate, the
+        # itemgetter taking the first residual to its own, and the
+        # winner's index per place of the first residual
         self._setup_choices: dict[tuple, tuple] = {}
-        self._patterns: dict[tuple, bytearray] = {}
+        self._patterns: dict[tuple, tuple] = {}
         # the shortest A5 prefixes (at most two generator applications) per
         # point they home, as (prefix, effect) in alphabet order; the effect
         # is the point action of performing the prefix's letters in order,
@@ -232,24 +231,26 @@ class Solver:
     def residual_abstract(self, state, rot: box.Rotation) -> perm.Perm:
         """The six unsolved pieces of a set-up state, as a permutation of
         the abstract points."""
-        a = tuple(map(self._point_of.get, self._frame[rot].read(state)))
-        if a not in self.table6.entries:  # exactly the even permutations
+        place = self._place.get(self._frame[rot].read(state))
+        if place is None:  # the table holds exactly the even permutations
             raise AssertionError(_ODD_RESIDUAL)
-        return a
+        return self._residuals[place]
 
     def setup_phase(self, c, mode: str = "strict"):
         """Shortest move word making piece 1 opposite the blank with an
         admissible frame for the mode. Among shortest setups the one
         whose residual has the shortest table word wins (then word text,
-        then frame order). Returns (word, state, rotation, residual).
+        then frame order). Returns (word, rotation, residual); the set-up
+        state is box.apply_word(c, word).
 
         Every candidate of a (blank, piece-1) pair reads the six cells
         holding neither, so candidate k's residual is a fixed reordering
         of the first one's, a0: the winner depends on the pair's pattern
         of reorderings and on a0 alone. Each pattern keeps the winner per
         place of a0 in the A6 table, filled on use (at most patterns x
-        360, beside the plan memo), so a warm setup reads a0, its slot
-        and the winner's residual; only an empty slot scores candidates.
+        360, beside the plan memo), so a setup reads a0 once and returns
+        the winner's reordering of it; only an empty slot scores the
+        candidates.
         """
         if not box.is_board(c):
             raise ValueError(f"not a board of the box: {c!r}")
@@ -257,64 +258,55 @@ class Solver:
         choice = self._setup_choices.get(key)
         if choice is None:
             choice = self._setup_choices[key] = self._setup_choice(*key)
-        entries, read0, slots = choice
+        entries, read0, reorders, slots = choice
         place = self._place.get(read0(c))
         if place is None:
             raise _odd_residual(c)
+        a0 = self._residuals[place]
         k = slots[place]
         if k == _EMPTY:
-            k = slots[place] = self._first_shortest(c, entries)
-        w, cells, rot, read = entries[k]
-        return (w, tuple(map(c.__getitem__, cells)), rot,
-                self._residuals[self._place[read(c)]])
+            k = slots[place] = self._first_shortest(a0, reorders)
+        w, _, rot = entries[k]
+        return w, rot, reorders[k](a0)
 
     def _setup_choice(self, mode: str, b: int, p: int) -> tuple:
-        """The pair's candidates, the first one's read, and the slots of
-        the pair's pattern: per candidate, where in the first residual
-        each of its points is read."""
+        """The pair's candidates, the first one's read of the input, and
+        the pair's pattern memo: per candidate, the reordering taking the
+        first residual to its own, and the slots."""
         entries = self._setup_words(mode)[b, p]
-        sources = [self._frame[rot].read(cells)
-                   for _, cells, rot, _ in entries]
+        sources = [self._frame[rot].read(cells) for _, cells, rot in entries]
         six = set(range(8)) - {b, p}
         if any(set(src) != six for src in sources):
             raise AssertionError("a setup candidate reads a cell outside "
                                  "the six its pair leaves to the pieces")
         pattern = tuple(tuple(map(sources[0].index, src)) for src in sources)
-        slots = self._patterns.get(pattern)
-        if slots is None:
-            slots = self._patterns[pattern] = bytearray(
-                [_EMPTY]) * len(self._residuals)
-        return entries, entries[0][3], slots
+        # a0 is even, so a candidate's residual is even iff its reordering is
+        if any(tau not in self.table6.entries for tau in pattern):
+            raise AssertionError(_ODD_RESIDUAL)
+        memo = self._patterns.get(pattern)
+        if memo is None:
+            memo = self._patterns[pattern] = (
+                [itemgetter(*tau) for tau in pattern],
+                bytearray([_EMPTY]) * len(self._residuals))
+        return (entries, itemgetter(*sources[0])) + memo
 
-    def _first_shortest(self, c, entries) -> int:
-        """Index of the first candidate whose residual has the shortest
-        table word, scored on the input's pieces mapped to abstract
-        points; any odd residual is turned away."""
-        points = tuple(map(self._point_of.get, c))
-        words6 = self.table6.entries
-        lengths = []
-        for *_, read in entries:
-            word6 = words6.get(read(points))
-            if word6 is None:
-                raise _odd_residual(c)
-            lengths.append(len(word6))
+    def _first_shortest(self, a0, reorders) -> int:
+        """Index of the first candidate whose residual, its reordering of
+        a0, has the shortest table word."""
+        lengths = [self.table6.length_of(read(a0)) for read in reorders]
         return lengths.index(min(lengths))
 
     def _setup_words(self, mode: str) -> dict:
-        """(blank cell, piece-1 cell) -> (word, cells, frame, read) for
-        every shortest setup word of the mode and every frame admitted
-        where the word leaves the blank, sorted by (word, bit_perm, mask);
-        built once per mode. read is the frame's read composed through the
-        cell map: read(points), on the input config mapped to abstract
-        points, gives the residual of the word's end state."""
+        """(blank cell, piece-1 cell) -> (word, cells, frame) for every
+        shortest setup word of the mode and every frame admitted where the
+        word leaves the blank, sorted by (word, bit_perm, mask); built once
+        per mode."""
         table = self._setup_tables.get(mode)
         if table is None:
             goals = [(b, b ^ 7) for b in range(8) if self._frames(b, mode)]
             table = self._setup_tables[mode] = {
                 (b, p): sorted(
-                    ((w, cells, rot,
-                      itemgetter(*self._frame[rot].read(cells)))
-                     for w, cells in entries
+                    ((w, cells, rot) for w, cells in entries
                      for rot in self._frames(cells.index(b), mode)),
                     key=lambda e: (e[0], e[2].bit_perm, e[2].mask))
                 for (b, p), entries in _shortest_pair_words(goals).items()}
@@ -326,7 +318,7 @@ class Solver:
         """Setup, the plan rule's letters for the residual a (memoized),
         their expansion in the setup's frame, and the replay check."""
         table, prefixes, plans = self._methods[method]
-        setup_word, _, rot, a = self.setup_phase(c, mode)
+        setup_word, rot, a = self.setup_phase(c, mode)
         performed = plans.get(a)
         if performed is None:
             n = len(table.gens[0])

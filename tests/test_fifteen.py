@@ -88,9 +88,13 @@ def test_solvable_examples():
     (1,) * 15 + (None,),                 # a repeated piece
     tuple(range(1, 15)) + (None,),       # fifteen tokens
     tuple(range(1, 17)),                 # sixteen tokens, no blank
+    tuple(range(1, 16)) + ([None],),     # an unhashable token
+    5,                                   # not a sequence
+    None,
 ))
 def test_non_boards_are_not_solvable(board):
-    for c in (board, list(board)):
+    inputs = (board, list(board)) if isinstance(board, tuple) else (board,)
+    for c in inputs:
         assert fifteen.is_solvable(c) is False
 
 

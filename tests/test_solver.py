@@ -97,9 +97,9 @@ def test_solved_input_needs_no_moves(box_solver):
 
 
 def test_setup_on_solved_is_empty(box_solver):
-    word, state, rot, residual = box_solver.setup_phase(box.SOLVED, "strict")
+    word, rot, residual = box_solver.setup_phase(box.SOLVED, "strict")
     assert word == ""
-    assert state == box.SOLVED
+    assert box.apply_word(box.SOLVED, word) == box.SOLVED
     assert rot == box.IDENTITY_ROTATION
     assert residual == perm.identity(6)
 
@@ -130,15 +130,40 @@ def test_odd_residual_of_a_reachable_input_is_a_fault():
         s.setup_phase(box.SOLVED)
 
 
+def test_odd_reordering_of_a_later_candidate_is_a_fault():
+    # a pair's reorderings are checked when it is grouped: a frame that
+    # only a later candidate uses, with two cells swapped, reorders the
+    # first residual oddly, and the pair's first solve reports it
+    s = solver.Solver()
+    (b, p), entries = next(
+        (pair, entries) for pair, entries in s._setup_words("rotation").items()
+        if any(rot != entries[0][2] for _, _, rot in entries))
+    rot = next(rot for _, _, rot in entries if rot != entries[0][2])
+    cells = s._frame[rot].read.__reduce__()[1]
+    s._frame[rot] = s._frame[rot]._replace(
+        read=itemgetter(cells[1], cells[0], *cells[2:]))
+    c = next(c for c in map(box.unrank, range(box.N_REACHABLE))
+             if (box.blank_cell(c), c.index(1)) == (b, p))
+    with pytest.raises(AssertionError, match="frame admission is broken"):
+        s.setup_phase(c, "rotation")
+
+
 @pytest.mark.parametrize("board", (
-    (1, 1, 3, 4, 5, 6, 7, None),  # a repeated piece
-    (1, 2, 3, 4, 5, 6, None),     # seven tokens
-    (1, 2, 3, 4, 5, 6, 7, 8),     # eight tokens, no blank
+    (1, 1, 3, 4, 5, 6, 7, None),    # a repeated piece
+    (1, 2, 3, 4, 5, 6, None),       # seven tokens
+    (1, 2, 3, 4, 5, 6, 7, 8),       # eight tokens, no blank
+    (1, 2, 3, 4, 5, 6, 7, [None]),  # an unhashable token
+    5,                              # not a sequence
+    None,
 ))
 def test_malformed_input_is_rejected(box_solver, board):
-    for solve in (box_solver.solve_optimal, box_solver.solve_heuristic_a6,
-                  box_solver.solve_heuristic_a5, box_solver.setup_phase):
-        for c in (board, list(board)):
+    inputs = (board, list(board)) if isinstance(board, tuple) else (board,)
+    for c in inputs:
+        assert box.is_board(c) is False
+        assert box.is_reachable(c) is False
+        for solve in (box.rank, box_solver.solve_optimal,
+                      box_solver.solve_heuristic_a6,
+                      box_solver.solve_heuristic_a5, box_solver.setup_phase):
             with pytest.raises(ValueError):
                 solve(c)
 
@@ -160,7 +185,8 @@ def test_list_input_is_solved_as_its_tuple(box_solver):
 
 def _reference_setup(s, c, mode):
     """Breadth-first setup search over whole configs, kept as the oracle
-    for the (blank, piece-1) word table behind `Solver.setup_phase`."""
+    for the (blank, piece-1) word table behind `Solver.setup_phase`; the
+    winner's word replays to the state it was found at."""
     seen = {c}
     layer = [("", c)]
     while True:
@@ -176,7 +202,8 @@ def _reference_setup(s, c, mode):
                 candidates.append((key, w, state, rot, a))
         if candidates:
             _, w, state, rot, a = min(candidates)
-            return w, state, rot, a
+            assert box.apply_word(c, w) == state
+            return w, rot, a
         nxt = []
         for w, state in layer:
             for m in box.LETTERS:
@@ -195,16 +222,16 @@ def test_setup_word_table(box_solver, mode, total, n_words, per_pair,
     table = box_solver._setup_words(mode)
     assert len(table) == 56
     assert sum(len(entries) for entries in table.values()) == total
-    assert sum(len({w for w, _, _, _ in entries})
+    assert sum(len({w for w, _, _ in entries})
                for entries in table.values()) == n_words
     assert max(len(entries) for entries in table.values()) == per_pair
     assert max(len(w) for entries in table.values()
-               for w, _, _, _ in entries) == depth
+               for w, _, _ in entries) == depth
     for entries in table.values():
-        assert len({len(w) for w, _, _, _ in entries}) == 1
-        keys = [(w, rot.bit_perm, rot.mask) for w, _, rot, _ in entries]
+        assert len({len(w) for w, _, _ in entries}) == 1
+        keys = [(w, rot.bit_perm, rot.mask) for w, _, rot in entries]
         assert keys == sorted(set(keys))
-        maps = {w: cells for w, cells, _, _ in entries}
+        maps = {w: cells for w, cells, _ in entries}
         assert len(set(maps.values())) == len(maps)
         assert all(type(cells) is tuple for cells in maps.values())
 
@@ -218,7 +245,7 @@ def test_setup_cell_maps_replay_their_words(box_solver, mode):
         c = box.unrank(rng.randrange(box.N_REACHABLE))
         pair = box.blank_cell(c), c.index(1)
         pairs.add(pair)
-        for w, cells, rot, _ in table[pair]:
+        for w, cells, rot in table[pair]:
             end = box.apply_word(c, w)
             assert tuple(c[i] for i in cells) == end
             b = box.blank_cell(end)
@@ -228,10 +255,10 @@ def test_setup_cell_maps_replay_their_words(box_solver, mode):
 
 
 @pytest.mark.parametrize("mode", solver.MODES)
-def test_setup_reads_compose_the_frame_read_with_the_cell_map(box_solver,
-                                                              mode):
-    # each entry's compiled read takes from the input config exactly the
-    # residual that the frame reads off the word's end state
+def test_setup_reorderings_give_each_candidates_residual(box_solver, mode):
+    # each candidate's reordering of the first residual a0, read off the
+    # input, is exactly the residual its frame reads off its word's end
+    # state
     rng = random.Random(38)
     pools = {}
     for r in range(box.N_REACHABLE):
@@ -239,18 +266,22 @@ def test_setup_reads_compose_the_frame_read_with_the_cell_map(box_solver,
         pools.setdefault((box.blank_cell(c), c.index(1)), []).append(c)
     table = box_solver._setup_words(mode)
     assert pools.keys() == table.keys()
-    for pair, entries in table.items():
-        for c in rng.sample(pools[pair], 10):
-            for _, cells, rot, read in entries:
-                state = tuple(c[i] for i in cells)
-                assert tuple(map(box_solver._point_of.get, read(c))) == \
-                    box_solver.residual_abstract(state, rot)
+    for pair, candidates in table.items():
+        sample = rng.sample(pools[pair], 10)
+        box_solver.setup_phase(sample[0], mode)
+        entries, read0, reorders, _ = box_solver._setup_choices[(mode,) + pair]
+        assert entries is candidates and len(reorders) == len(entries)
+        for c in sample:
+            a0 = box_solver._residuals[box_solver._place[read0(c)]]
+            for (w, _, rot), reorder in zip(entries, reorders):
+                assert reorder(a0) == box_solver.residual_abstract(
+                    box.apply_word(c, w), rot)
 
 
 def test_setup_phase_reads_no_residual_off_a_state(box_solver):
-    # candidates are scored through their compiled reads on the pre-mapped
-    # input, and the winner's residual is read off the input, never off
-    # its set-up state
+    # candidates are scored as their reorderings of the first residual,
+    # and the winner's residual is its reordering, never read off a set-up
+    # state
     rng = random.Random(39)
     with mock.patch.object(box_solver, "residual_abstract",
                            wraps=box_solver.residual_abstract) as residual:
@@ -263,7 +294,7 @@ def test_setup_phase_reads_no_residual_off_a_state(box_solver):
 
 def test_replay_rejects_a_wrong_word(box_solver):
     c = box.parse_config("1,5,2,4,3,6,7,_")
-    _, _, rot, _ = box_solver.setup_phase(c)
+    _, rot, _ = box_solver.setup_phase(c)
     sol = box_solver.solve_heuristic_a6(c)
     assert sol.replayed(c) is sol
     with pytest.raises(AssertionError, match="produced an invalid solution"):
@@ -443,9 +474,9 @@ PATTERNS = {"strict": 23, "center": 8, "rotation": 8}
 
 def _slots_of(s, mode):
     """The slots of the mode's patterns, one per pattern, by pattern."""
-    used = {id(slots) for (m, _, _), (_, _, slots)
+    used = {id(slots) for (m, _, _), (*_, slots)
             in s._setup_choices.items() if m == mode}
-    return {pattern: slots for pattern, slots in s._patterns.items()
+    return {pattern: slots for pattern, (_, slots) in s._patterns.items()
             if id(slots) in used}
 
 
@@ -485,7 +516,7 @@ def test_setup_memo_is_exact_and_bounded(box_solver):
         # a sweep meets every residual of every pair: the bound is reached
         assert filled == len(patterns) * len(s.table6)
     # a warm sweep scores no candidate: each setup reads the first
-    # residual and the winner's, and nothing else
+    # residual once, and nothing else
     configs = [box.unrank(r) for r in range(box.N_REACHABLE)]
     with mock.patch.object(s, "_place", _CountedReads(s._place)), \
             mock.patch.object(s, "_first_shortest",
@@ -494,7 +525,7 @@ def test_setup_memo_is_exact_and_bounded(box_solver):
             for c in configs:
                 s.setup_phase(c, mode)
         assert scored.call_count == 0
-        assert s._place.reads == 2 * len(solver.MODES) * len(configs)
+        assert s._place.reads == len(solver.MODES) * len(configs)
 
 
 def test_setup_slots_fill_one_per_scoring():
@@ -505,7 +536,7 @@ def test_setup_slots_fill_one_per_scoring():
                            wraps=s._first_shortest) as scored:
         for c in configs:
             s.setup_phase(c, "rotation")
-    filled = sum(k != solver._EMPTY for slots in s._patterns.values()
+    filled = sum(k != solver._EMPTY for _, slots in s._patterns.values()
                  for k in slots)
     assert 0 < scored.call_count == filled < len(configs)
     # pairs are grouped on first use, not when the table is built
@@ -533,7 +564,7 @@ def test_warm_setup_memo_still_rejects_an_unreachable_board(box_solver):
     bad = box.parse_config("1,2,3,4,6,5,7,_")
     for mode in solver.MODES:
         box_solver.setup_phase(box.SOLVED, mode)  # the same pair
-        _, _, slots = box_solver._setup_choices[mode, 7, 0]
+        *_, slots = box_solver._setup_choices[mode, 7, 0]
         assert any(k != solver._EMPTY for k in slots)
         for solve in (box_solver.setup_phase, box_solver.solve_heuristic_a6,
                       box_solver.solve_heuristic_a5):
