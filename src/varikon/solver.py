@@ -293,7 +293,8 @@ class Solver:
     def _first_shortest(self, a0, reorders) -> int:
         """Index of the first candidate whose residual, its reordering of
         a0, has the shortest table word."""
-        lengths = [self.table6.length_of(read(a0)) for read in reorders]
+        lengths = [self.table6.length_of(reorder(a0))
+                   for reorder in reorders]
         return lengths.index(min(lengths))
 
     def _setup_words(self, mode: str) -> dict:
