@@ -25,7 +25,7 @@ LETTERS = "RUB"
 AXIS_BIT = {"R": 0, "B": 1, "U": 2}
 STEP = {m: 1 << bit for m, bit in AXIS_BIT.items()}  # blank cell XOR
 _DROP_LETTERS = str.maketrans("", "", LETTERS)
-_TOKENS = frozenset(SOLVED)
+_TOKENS = {n: frozenset((*range(1, n), BLANK)) for n in (8, 16)}
 
 N_REACHABLE = 20160  # 8!/2
 BLOCK = N_REACHABLE // 8  # ranks per blank cell: the 7!/2 piece sequences
@@ -99,18 +99,20 @@ def piece_perm(c) -> perm.Perm:
     return tuple(v - 1 for v in c[:7])
 
 
-def is_board(c) -> bool:
-    """Whether c holds each of the seven pieces and the blank once."""
+def is_board(c, cells: int = 8) -> bool:
+    """Whether c is a tuple or list holding pieces 1..cells-1 and the
+    blank once each: a box board, or with cells=16 a 15-puzzle board."""
     try:
-        return len(c) == 8 and set(c) == _TOKENS
-    except TypeError:  # not a sized iterable, or an unhashable token
+        return (isinstance(c, (tuple, list)) and len(c) == cells
+                and set(c) == _TOKENS[cells])
+    except TypeError:  # an unhashable token
         return False
 
 
 def is_reachable(c) -> bool:
     """Parity test: reachable iff the 8-point permutation parity equals
-    the parity of the blank's Hamming distance from cell 7. A board that
-    is not an arrangement of the seven pieces and the blank is not."""
+    the parity of the blank's Hamming distance from cell 7. An input
+    that is_board turns away is not."""
     if not is_board(c):
         return False
     distance = (blank_cell(c) ^ 7).bit_count()
@@ -321,10 +323,9 @@ def parse_config(text: str, cells: int = 8):
             config.append(v)
         else:
             raise ValueError(f"bad token {t!r}")
-    config = tuple(config)
-    if sorted(config_perm(config)) != list(range(cells)):
+    if not is_board(config, cells):
         raise ValueError(f"config must contain each of 1..{pieces} and _ once")
-    return config
+    return tuple(config)
 
 
 def format_config(c) -> str:

@@ -68,12 +68,9 @@ def apply_word(c, text: str):
 
 def is_solvable(c) -> bool:
     """Parity test: solvable iff the 16-point permutation parity equals
-    the parity of the blank's taxicab distance to the home corner. A board
-    that is not an arrangement of the 15 pieces and the blank is not."""
-    try:
-        if len(c) != 16 or set(c) != set(SOLVED):
-            return False
-    except TypeError:  # not a sized iterable, or an unhashable token
+    the parity of the blank's taxicab distance to the home corner. An
+    input that box.is_board(c, 16) turns away is not."""
+    if not box.is_board(c, 16):
         return False
     row, col = divmod(blank_cell(c), 4)
     distance = (3 - row) + (3 - col)

@@ -27,8 +27,8 @@ winner per pattern and place of a0 in the A6 table (at most patterns x
 slot scores the candidates, as the pattern's reorderings of a0. The
 winner's residual is its reordering of a0. A list is solved as its
 tuple, and anything but one of the 20,160 reachable configs raises
-ValueError: setup_phase turns away a non-board, and box.rank an
-unreachable board (setup_phase ranks its input only when a0 reads odd).
+ValueError from box.rank, which setup_phase calls only on a non-board
+(box.is_board) or when a0 reads odd.
 
 Both heuristics follow one plan rule: of the shortest prefixes homing
 abstract point 6 (A5: up to two generator applications; A6: only the
@@ -108,9 +108,9 @@ _ODD_RESIDUAL = "set-up residual is odd; frame admission is broken"
 _EMPTY = 0xFF  # a setup slot not yet filled; a pair has at most 36 candidates
 
 
-def _odd_residual(c) -> AssertionError:
-    """Setup words and frames keep reachability, so an odd residual means
-    an unreachable input, which box.rank turns away, or broken frames."""
+def _rank_or_fault(c) -> AssertionError:
+    """box.rank turns away a non-board or an unreachable board; setups keep
+    parity, so a board it ranks whose residual reads odd has broken frames."""
     box.rank(c)
     return AssertionError(_ODD_RESIDUAL)
 
@@ -250,10 +250,10 @@ class Solver:
         place of a0 in the A6 table, filled on use (at most patterns x
         360, beside the plan memo), so a setup reads a0 once and returns
         the winner's reordering of it; only an empty slot scores the
-        candidates.
+        candidates. A non-board goes to box.rank, as an odd a0 does.
         """
         if not box.is_board(c):
-            raise ValueError(f"not a board of the box: {c!r}")
+            raise _rank_or_fault(c)
         key = mode, box.blank_cell(c), c.index(1)
         choice = self._setup_choices.get(key)
         if choice is None:
@@ -261,7 +261,7 @@ class Solver:
         entries, read0, reorders, slots = choice
         place = self._place.get(read0(c))
         if place is None:
-            raise _odd_residual(c)
+            raise _rank_or_fault(c)
         a0 = self._residuals[place]
         k = slots[place]
         if k == _EMPTY:

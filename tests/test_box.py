@@ -253,9 +253,16 @@ def test_config_text_round_trip():
 
 
 def test_config_text_rejects_bad_input():
-    for bad in ("1,2,3", "1,2,3,4,5,6,7,8", "1,1,3,4,5,6,7,_",
-                "_,_,3,4,5,6,7,1", "1,2,3,4,5,6,x,_", "0,2,3,4,5,6,7,_",
-                # only ASCII decimal pieces: Arabic-Indic one, fullwidth three
-                "\u0661,2,3,4,5,6,7,_", "1,2,\uff13,4,5,6,7,_"):
-        with pytest.raises(ValueError):
+    once = "config must contain each of 1..7 and _ once"
+    for bad, message in (
+            ("1,2,3", "expected 8 tokens, got 3"),
+            ("1,2,3,4,5,6,7,8", "piece 8 out of range 1..7"),
+            ("1,1,3,4,5,6,7,_", once), ("_,_,3,4,5,6,7,1", once),
+            ("1,2,3,4,5,6,x,_", "bad token 'x'"),
+            ("0,2,3,4,5,6,7,_", "piece 0 out of range 1..7"),
+            # only ASCII decimal pieces: Arabic-Indic one, fullwidth three
+            ("\u0661,2,3,4,5,6,7,_", "bad token '\u0661'"),
+            ("1,2,\uff13,4,5,6,7,_", "bad token '\uff13'")):
+        with pytest.raises(ValueError) as exc:
             box.parse_config(bad)
+        assert str(exc.value) == message

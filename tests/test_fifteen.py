@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from varikon import fifteen, perm
+from varikon import box, fifteen, perm
 
 move_words = st.lists(st.sampled_from("RU"), max_size=20).map("".join)
 
@@ -91,11 +91,20 @@ def test_solvable_examples():
     tuple(range(1, 16)) + ([None],),     # an unhashable token
     5,                                   # not a sequence
     None,
+    set(fifteen.SOLVED),                 # the sixteen tokens, unordered
+    dict.fromkeys(fifteen.SOLVED),
 ))
 def test_non_boards_are_not_solvable(board):
     inputs = (board, list(board)) if isinstance(board, tuple) else (board,)
     for c in inputs:
         assert fifteen.is_solvable(c) is False
+
+
+def test_board_test_takes_the_board_size():
+    # box.is_board is the one board test of both puzzles
+    assert box.is_board(fifteen.SOLVED, 16)
+    assert not box.is_board(fifteen.SOLVED)
+    assert not box.is_board(box.SOLVED, 16)
 
 
 @given(move_words)
@@ -138,16 +147,23 @@ def test_config_text_round_trip():
 
 
 def test_config_text_rejects_bad_input():
-    for bad in (
-        "1,2,3",                                            # short
-        "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16",           # no blank
-        "1,1,3,4,5,6,7,8,9,10,11,12,13,14,15,_",            # repeat
-        "_,_,3,4,5,6,7,8,9,10,11,12,13,14,15,1",            # two blanks
-        "1,2,3,4,5,6,7,8,9,10,11,12,13,14,x,_",             # junk token
-        "0,2,3,4,5,6,7,8,9,10,11,12,13,14,15,_",            # out of range
-        "\u0661,2,3,4,5,6,7,8,9,10,11,12,13,14,15,_",       # Arabic-Indic 1
-        "1,2,\uff13,4,5,6,7,8,9,10,11,12,13,14,15,_",       # fullwidth 3
-        "1,2,3,4,5,6,7,8,9,1_0,11,12,13,14,15,_",           # int() digit group
+    once = "config must contain each of 1..15 and _ once"
+    for bad, message in (
+        ("1,2,3", "expected 16 tokens, got 3"),
+        ("1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16",          # no blank
+         "piece 16 out of range 1..15"),
+        ("1,1,3,4,5,6,7,8,9,10,11,12,13,14,15,_", once),    # repeat
+        ("_,_,3,4,5,6,7,8,9,10,11,12,13,14,15,1", once),    # two blanks
+        ("1,2,3,4,5,6,7,8,9,10,11,12,13,14,x,_", "bad token 'x'"),
+        ("0,2,3,4,5,6,7,8,9,10,11,12,13,14,15,_",
+         "piece 0 out of range 1..15"),
+        ("\u0661,2,3,4,5,6,7,8,9,10,11,12,13,14,15,_",      # Arabic-Indic 1
+         "bad token '\u0661'"),
+        ("1,2,\uff13,4,5,6,7,8,9,10,11,12,13,14,15,_",      # fullwidth 3
+         "bad token '\uff13'"),
+        ("1,2,3,4,5,6,7,8,9,1_0,11,12,13,14,15,_",          # int() digit group
+         "bad token '1_0'"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             fifteen.parse_config(bad)
+        assert str(exc.value) == message

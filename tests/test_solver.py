@@ -1,6 +1,7 @@
 """Heuristic and optimal solving: relabeling, frames, sweeps, pinned lengths."""
 
 import random
+from collections import deque
 from operator import itemgetter
 from unittest import mock
 
@@ -155,6 +156,9 @@ def test_odd_reordering_of_a_later_candidate_is_a_fault():
     (1, 2, 3, 4, 5, 6, 7, [None]),  # an unhashable token
     5,                              # not a sequence
     None,
+    # the eight tokens, but not as a tuple or list
+    set(box.SOLVED), frozenset(box.SOLVED), dict.fromkeys(box.SOLVED),
+    deque(box.SOLVED),
 ))
 def test_malformed_input_is_rejected(box_solver, board):
     inputs = (board, list(board)) if isinstance(board, tuple) else (board,)
@@ -164,7 +168,7 @@ def test_malformed_input_is_rejected(box_solver, board):
         for solve in (box.rank, box_solver.solve_optimal,
                       box_solver.solve_heuristic_a6,
                       box_solver.solve_heuristic_a5, box_solver.setup_phase):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="not a board of the box"):
                 solve(c)
 
 
