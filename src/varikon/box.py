@@ -96,7 +96,7 @@ def piece_perm(c) -> perm.Perm:
     """The 7-point piece permutation of a config whose blank is home."""
     if c[7] is not BLANK:
         raise ValueError("blank not in its home cell")
-    return tuple(v - 1 for v in c[:7])
+    return tuple([v - 1 for v in c[:7]])
 
 
 def is_board(c, cells: int = 8) -> bool:
@@ -226,7 +226,9 @@ def move_tables() -> dict[str, list[int]]:
     is built or ranked: a move from blank cell b to cell j reorders the
     piece sequence by a position map that depends only on (b, j), so the
     slice of block b is one map over its lex-ordered sequences, looked up
-    in the index of the sequences of block j's parity."""
+    in the index of the sequences of block j's parity. Where the map keeps
+    the sequence (adjacent cells, R's moves) and both blocks index one
+    lex list, the slice is block j itself."""
     seqs, index = _lex_sequences()
     tables = {}
     for m in LETTERS:
@@ -236,10 +238,14 @@ def move_tables() -> dict[str, list[int]]:
             # the piece from cell j now sits in cell b, and the new
             # sequence skips cell j; a cell's old slot skipped cell b
             cells = [j if c == b else c for c in range(8) if c != j]
-            reorder = itemgetter(*[c - (c > b) for c in cells])
+            slots = [c - (c > b) for c in cells]
+            parity = _seq_parity_for_blank(b)
+            if slots == list(range(7)) and parity == _seq_parity_for_blank(j):
+                row.extend(block(j))
+                continue
             lookup = index[_seq_parity_for_blank(j)].__getitem__
             row.extend(map((j * BLOCK).__add__, map(lookup, map(
-                reorder, seqs[_seq_parity_for_blank(b)]))))
+                itemgetter(*slots), seqs[parity]))))
     return tables
 
 
@@ -287,18 +293,19 @@ def dihedral_check(x: str, y: str, table) -> list:
     mx, my = table.move_rank[x], table.move_rank[y]
     ranks = list(range(N_REACHABLE))
     xy = [my[s] for s in mx]  # the action of XY as one rank map
-    xy6 = ranks
-    for _ in range(6):
-        xy6 = [xy[s] for s in xy6]
+    xy3 = [xy[s] for s in [xy[s] for s in xy]]  # (XY)^6 is its square
     # (XY)^-1 computed as the inverse of the XY action map, not by word
     # manipulation, so the braid relation check does not presuppose that
-    # letters are involutions.
-    xy_inverse = dict(zip(xy, ranks))
-    braid = all(mx[xy[r]] == xy_inverse[mx[r]] for r in ranks)
+    # letters are involutions. It holds the ranks list's own ints; a rank
+    # that XY misses (a broken table) keeps None and fails the compare.
+    xy_inverse = [None] * N_REACHABLE
+    for r, s in zip(ranks, xy):
+        xy_inverse[s] = r
+    braid = [mx[s] for s in xy] == [xy_inverse[s] for s in mx]
 
     return [
         Check(f"{x}^2 = e", True, [mx[s] for s in mx] == ranks),
-        Check(f"({x}{y})^6 = e", True, xy6 == ranks),
+        Check(f"({x}{y})^6 = e", True, [xy3[s] for s in xy3] == ranks),
         Check(f"{x}{y}.{x} = {x}.({x}{y})^-1", True, braid),
         Check(f"|<{x},{y}>| = 12", 12, subgroup_order(x + y)),
     ]

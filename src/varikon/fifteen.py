@@ -60,10 +60,29 @@ def invert_word(text: str) -> str:
     return "".join(letter + "3" for letter in reversed(parse_word(text)))
 
 
+# _PATH[m][b]: the cells the blank passes through on letter m from cell
+# b. A wrap step is the three steps back along the line: the line's
+# other pieces each slide one cell, as apply_move's rotation does.
+_PATH = {
+    "R": [(b + 1, b + 2, b + 3) if b % 4 == 0 else (b - 1,)
+          for b in range(16)],
+    "U": [(b - 4, b - 8, b - 12) if b >= 12 else (b + 4,)
+          for b in range(16)],
+}
+
+
 def apply_word(c, text: str):
-    for m in parse_word(text):
-        c = apply_move(c, m)
-    return c
+    """The board reached from c by the word's moves, in one pass: the
+    blank walks its path through the letters, each step sliding the
+    piece from its new cell into its old one (box.apply_word's walk)."""
+    cells = list(c)
+    b = blank_cell(c)
+    for path in map(_PATH.__getitem__, parse_word(text)):
+        for j in path[b]:
+            cells[b] = cells[j]
+            b = j
+    cells[b] = BLANK
+    return tuple(cells)
 
 
 def is_solvable(c) -> bool:

@@ -25,6 +25,13 @@ from .report import Report
 
 # ---------------------------------------------------------------------------
 
+def _walk_rows(r: int, rows) -> int:
+    """The rank reached from rank r through move_rank rows in turn."""
+    for row in rows:
+        r = row[r]
+    return r
+
+
 class DistanceTable:
     """Shortest word lengths from the identity over {R,U,B} (perm.bfs on
     ranks), indexed by the perfect-hash rank of each reachable config."""
@@ -72,10 +79,7 @@ class DistanceTable:
 
     def walk(self, r: int, word: str) -> int:
         """The rank reached from rank r by applying word's letters."""
-        mr = self.move_rank
-        for letter in word:
-            r = mr[letter][r]
-        return r
+        return _walk_rows(r, map(self.move_rank.__getitem__, word))
 
     def commutes(self, r: int, word: str) -> bool:
         """Whether element r commutes with word: r then word (walk) lands
@@ -197,7 +201,8 @@ def verify_structure(table: DistanceTable, center_ranks, kernel) -> Report:
              if r in kernel})
 
     # (b) the product set K<R> has order 5040
-    kr_ranks = set(kernel) | {table.walk(r, "R") for r in kernel}
+    mr, lr = table.move_rank["R"], table.left_rank["R"]
+    kr_ranks = set(kernel) | set(map(mr.__getitem__, kernel))
     rep.add("(b) |K<R>|", 5040, len(kr_ranks))
 
     # (c) K<R> meets the center trivially
@@ -221,12 +226,15 @@ def verify_structure(table: DistanceTable, center_ranks, kernel) -> Report:
     # commutation, so the element built from the cycle image serves)
     gen_words = ["R"] + [table.word_to(box.rank(box.config_of(p)))
                          for p in kgen_perms]
-    closure = perm.bfs([root], gen_words, table.walk)
+    # each word walked as its letters' move_rank rows, split once
+    gen_rows = [tuple(map(table.move_rank.__getitem__, w)) for w in gen_words]
+    closure = perm.bfs([root], gen_rows, _walk_rows)
     rep.add("(e) closure of R + the 3-cycles equals K<R>", True,
             closure.keys() == kr_ranks)
 
-    central = [box.unrank(r) for r in sorted(kr_ranks)
-               if all(table.commutes(r, gw) for gw in gen_words)]
+    # commuting with R is screened on R's rows first, as center does
+    central = [box.unrank(r) for r in sorted(kr_ranks) if mr[r] == lr[r]
+               and all(table.commutes(r, gw) for gw in gen_words[1:])]
     rep.add("(e) center of K<R>", [box.SOLVED], central)
 
     # (f) Z is a Klein four-group

@@ -1,5 +1,6 @@
 """2x2x2 box model: moves, parity predicate, ranking, letter-pair cycles."""
 
+import copy
 from functools import cache, reduce
 from unittest import mock
 
@@ -237,6 +238,20 @@ def test_dihedral_relations_hold(distance_table):
     for x, y in (("R", "U"), ("R", "B"), ("U", "B")):
         checks = box.dihedral_check(x, y, distance_table)
         assert all(c.passed for c in checks), [c.row() for c in checks]
+
+
+@pytest.mark.parametrize("fault", ("swap", "duplicate"))
+def test_dihedral_checks_catch_a_broken_row(distance_table, fault):
+    broken = copy.copy(distance_table)
+    row = list(distance_table.move_rank["R"])
+    if fault == "swap":
+        row[5], row[12780] = row[12780], row[5]
+    else:
+        row[5] = row[12780]
+    broken.move_rank = {**distance_table.move_rank, "R": row}
+    passed = {c.claim: c.passed for c in box.dihedral_check("R", "U", broken)}
+    assert passed == {"R^2 = e": False, "(RU)^6 = e": False,
+                      "RU.R = R.(RU)^-1": False, "|<R,U>| = 12": True}
 
 
 def test_dihedral_check_needs_distinct_letters(distance_table):

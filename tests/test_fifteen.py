@@ -1,14 +1,19 @@
 """15-Puzzle model: wrap-around moves, word grammar, the 3-cycle family."""
 
 import random
+from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from varikon import box, fifteen, perm
 
 move_words = st.lists(st.sampled_from("RU"), max_size=20).map("".join)
+# runs of up to four of a letter, so that a word crosses the row and the
+# column wrap from any blank cell
+wrapping_words = st.lists(st.sampled_from("RU").flatmap(
+    lambda m: st.integers(1, 4).map(m.__mul__)), max_size=12).map("".join)
 
 
 def scrambled(seed: int):
@@ -75,6 +80,24 @@ def test_invert_word_round_trip(w):
 def test_apply_word_folds_moves(v, w):
     c = scrambled(9)
     assert fifteen.apply_word(c, v + w) == fifteen.apply_word(fifteen.apply_word(c, v), w)
+
+
+@given(st.permutations(fifteen.SOLVED).map(tuple), wrapping_words)
+@example(fifteen.SOLVED, "RRRRUUUU")  # both wraps from the home corner
+def test_apply_word_is_the_fold_of_apply_move(c, w):
+    assert fifteen.apply_word(c, w) == reduce(fifteen.apply_move, w, c)
+
+
+def test_apply_word_edge_cases():
+    c = fifteen.apply_word(fifteen.SOLVED, "RU3R")
+    assert fifteen.apply_word(c, "") == c
+    # a list comes back as its tuple, the empty word too
+    assert type(fifteen.apply_word(list(c), "")) is tuple
+    assert fifteen.apply_word(list(c), "") == c
+    assert type(fifteen.apply_word(list(c), "R")) is tuple
+    for bad in ("X", "RUx", "R U", "B"):
+        with pytest.raises(ValueError):
+            fifteen.apply_word(c, bad)
 
 
 def test_solvable_examples():
