@@ -168,6 +168,13 @@ TARGET_FRAMES = {
 }
 
 
+def target_frames(mode: str) -> tuple:
+    """TARGET_FRAMES[mode]; an unknown mode raises ValueError."""
+    if mode not in TARGET_FRAMES:
+        raise ValueError(f"unknown target mode {mode!r}")
+    return TARGET_FRAMES[mode]
+
+
 # ---------------------------------------------------------------------------
 # Perfect-hash ranking: rank = blank_cell * BLOCK + the lex index of the
 # piece sequence (cells in order, blank skipped) among the 2,520 sequences

@@ -13,6 +13,10 @@ from .report import Report
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
 
+# --method choice -> the Solver method it calls, as (config, target mode)
+SOLVE_METHODS = {"optimal": "solve_optimal", "a6": "solve_heuristic_a6",
+                 "a5": "solve_heuristic_a5"}
+
 
 def _input_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -72,9 +76,6 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_solve(args, out) -> int:
-    if args.method == "optimal" and args.target != "strict":
-        return _input_error(f"--target {args.target} applies to --method a6 "
-                            "or a5 only; optimal solves to the strict target")
     if args.random == (args.config is not None):
         return _input_error("need exactly one of a config and --random")
     if args.seed is not None and not args.random:
@@ -82,13 +83,8 @@ def cmd_solve(args, out) -> int:
     try:  # an unreachable config is turned away by the solve itself
         config = (box.random_reachable(args.seed or 0) if args.random
                   else box.parse_config(args.config))
-        s = solver.Solver()
-        if args.method == "optimal":
-            sol = s.solve_optimal(config)
-        elif args.method == "a6":
-            sol = s.solve_heuristic_a6(config, args.target)
-        else:
-            sol = s.solve_heuristic_a5(config, args.target)
+        solve = getattr(solver.Solver(), SOLVE_METHODS[args.method])
+        sol = solve(config, args.target)
     except ValueError as exc:
         return _input_error(str(exc))
     print(json.dumps({
@@ -162,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_solve)
     p.add_argument("config", nargs="?",
                    help="8 comma-separated tokens, '_' for the blank")
-    p.add_argument("--method", choices=("optimal", "a6", "a5"),
+    p.add_argument("--method", choices=tuple(SOLVE_METHODS),
                    default="optimal")
     p.add_argument("--target", choices=solver.MODES, default="strict")
     p.add_argument("--random", action="store_true",

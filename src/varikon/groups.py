@@ -33,22 +33,25 @@ def _walk_rows(r: int, rows) -> int:
 
 
 class DistanceTable:
-    """Shortest word lengths from the identity over {R,U,B} (perm.bfs on
-    ranks), indexed by the perfect-hash rank of each reachable config."""
+    """Shortest word lengths over {R,U,B} to a mode's nearest target, by
+    rank: one perm.bfs rooted at box.TARGET_FRAMES[mode]. Only the strict
+    table, rooted at the identity, has the letters' left action, left_rank."""
 
-    def __init__(self):
+    def __init__(self, mode: str = "strict"):
+        roots = [box.rank(rot.target()) for rot in box.target_frames(mode)]
         self.move_rank = move_rank = box.move_tables()
         self.root = root = box.rank(box.SOLVED)
         # the rows themselves are the BFS labels, in R,U,B order
-        tree = perm.bfs([root], move_rank.values(), lambda r, row: row[r])
+        tree = perm.bfs(roots, move_rank.values(), lambda r, row: row[r])
         if len(tree) != box.N_REACHABLE:
             raise AssertionError("BFS did not reach every rank")
         # left_rank[m][r]: the rank of m + (the BFS-tree word to r); m's
         # move at the root, the parent's entry moved by the row below it
         self.depth = depth = [0] * box.N_REACHABLE
         self.left_rank = left = {m: [row[root]] * box.N_REACHABLE
-                                 for m, row in move_rank.items()}
-        for r, (prev, move) in islice(tree.items(), 1, None):  # parents first
+                                 for m, row in move_rank.items()
+                                 if roots == [root]}
+        for r, (prev, move) in islice(tree.items(), len(roots), None):
             depth[r] = depth[prev] + 1
             for row in left.values():
                 row[r] = move[row[prev]]
@@ -58,7 +61,7 @@ class DistanceTable:
         return sorted(Counter(self.depth).items())
 
     def descend(self, r: int) -> str:
-        """A shortest word taking rank r to the solved state: at each step
+        """A shortest word taking rank r to depth 0, any root: at each step
         the first letter (in R,U,B order) that lowers the depth."""
         depth, move_rank = self.depth, self.move_rank
         letters = []
@@ -73,8 +76,8 @@ class DistanceTable:
         return "".join(letters)
 
     def word_to(self, r: int) -> str:
-        """A shortest word taking the solved state to rank r (the descent
-        read backwards; letters are involutions)."""
+        """A shortest word taking a root (strict: the solved state) to rank
+        r (the descent read backwards; letters are involutions)."""
         return self.descend(r)[::-1]
 
     def walk(self, r: int, word: str) -> int:
@@ -83,16 +86,16 @@ class DistanceTable:
 
     def commutes(self, r: int, word: str) -> bool:
         """Whether element r commutes with word: r then word (walk) lands
-        on the rank of word + word_to(r) (left_rank, last letter first)."""
+        on the rank of word + word_to(r) (strict left_rank, last first)."""
         left, lr = r, self.left_rank
         for letter in reversed(word):
             left = lr[letter][left]
         return self.walk(r, word) == left
 
 
-def build_distance_table() -> DistanceTable:
+def build_distance_table(mode: str = "strict") -> DistanceTable:
     """God's algorithm: exhaustive BFS (perm.bfs) over the Cayley graph."""
-    return DistanceTable()
+    return DistanceTable(mode)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +179,11 @@ def verify_K_is_A7(kernel) -> Report:
     rep = Report("kernel acts as the even permutations of the pieces")
     rep.add("|K|", 2520, len(kernel))
     piece_perms = {box.piece_perm(box.unrank(k)) for k in kernel}
+    even = perm.all_even(7)
     rep.add("piece permutations of K = all even 7-point permutations",
-            perm.all_even(7), piece_perms)
+            even, piece_perms)
     rep.add("every K element has even piece permutation", True,
-            all(perm.parity(p) == 0 for p in piece_perms))
+            piece_perms <= even)
     rep.add("RBRB element lies in K", True,
             box.rank(box.apply_word(box.SOLVED, "RBRB")) in kernel)
     return rep

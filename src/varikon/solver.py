@@ -1,5 +1,6 @@
-"""Solvers for the box: optimal descent on the distance table, and the
-setup + shortest-word heuristic.
+"""Solvers for the box to a mode's targets (box.TARGET_FRAMES): optimal
+descent on the mode's distance table, and the setup + shortest-word
+heuristic.
 
 The heuristic brings piece 1 opposite the blank with a short move
 prefix, reads the remaining six pieces as an even permutation, looks up
@@ -7,10 +8,10 @@ its shortest word over the three 3-cycle generators, and expands each
 abstract letter into a 4-move alternating pair. "Orientation freely
 changed" is realized as conjugation by a whole-box rotation: the chosen
 rotation relabels cells and move letters consistently and costs no
-moves. The usable rotations are box.ROTATIONS (half of the 24), and each
-target mode's share of them is box.TARGET_FRAMES, the one home of the
-solve targets; this constrains where the blank may sit after setup, so
-the setup search deepens past the nominal two moves when required.
+moves. The usable rotations are box.ROTATIONS (half of the 24), and a
+mode's share of them is its target frames; this constrains where the
+blank may sit after setup, so the setup search deepens past the nominal
+two moves when required.
 Whether a state ends a setup depends only on the blank's cell and piece
 1's cell, and a word moves cells the same way on every config with the
 same blank cell, so each mode's setup candidates are a table, built
@@ -39,7 +40,6 @@ is replayed by one check.
 """
 
 from collections import namedtuple
-from functools import cached_property
 from itertools import permutations, product
 from operator import itemgetter
 
@@ -170,6 +170,7 @@ class Solver:
                  for s, xy in pairs.items()},
                 rot.target())
         self._setup_tables: dict[str, dict] = {}
+        self._distances: dict[str, groups.DistanceTable] = {}
         # the A6 residuals in table order, and each one's place keyed by the
         # pieces an input holds in the abstract points' cells
         self._residuals = list(self.table6.entries)
@@ -204,29 +205,32 @@ class Solver:
                 range(6), [((), perm.identity(6))]), {}),
             "heuristic-a5": (self.table5, a5_prefixes, {})}
 
-    @cached_property
-    def distance(self):
-        return groups.build_distance_table()
+    def distance(self, mode: str = "strict") -> groups.DistanceTable:
+        """The mode's distance table, built on first use."""
+        table = self._distances.get(mode)
+        if table is None:
+            table = self._distances[mode] = groups.build_distance_table(mode)
+        return table
 
     # -- optimal ------------------------------------------------------
 
-    def solve_optimal(self, c) -> Solution:
-        """Distance-table descent (DistanceTable.descend), checked by
-        applying the word to the config."""
+    def solve_optimal(self, c, mode: str = "strict") -> Solution:
+        """Descent on the mode's table, checked by replay: the target is
+        where the word ends, or none if that is not depth 0."""
         r = box.rank(c)  # turns a bad input away before the table is built
-        word = self.distance.descend(r)
+        table = self.distance(mode)
+        word = table.descend(r)
+        end = table.walk(r, word)
+        target = None if table.depth[end] else box.unrank(end)
         return Solution("optimal", word, (("optimal", word),),
-                        box.SOLVED).replayed(c)
+                        target).replayed(c)
 
     # -- setup --------------------------------------------------------
 
     def _frames(self, b: int, mode: str) -> list[box.Rotation]:
         """Frames of the mode (box.TARGET_FRAMES) usable with the blank
         in cell b and piece 1 opposite it."""
-        frames = box.TARGET_FRAMES.get(mode)
-        if frames is None:
-            raise ValueError(f"unknown target mode {mode!r}")
-        return [r for r in frames if r.cells.index(7) == b]
+        return [r for r in box.target_frames(mode) if r.cells.index(7) == b]
 
     def residual_abstract(self, state, rot: box.Rotation) -> perm.Perm:
         """The six unsolved pieces of a set-up state, as a permutation of
@@ -243,14 +247,9 @@ class Solver:
         then frame order). Returns (word, rotation, residual); the set-up
         state is box.apply_word(c, word).
 
-        Every candidate of a (blank, piece-1) pair reads the six cells
-        holding neither, so candidate k's residual is a fixed reordering
-        of the first one's, a0: the winner depends on the pair's pattern
-        of reorderings and on a0 alone. Each pattern keeps the winner per
-        place of a0 in the A6 table, filled on use (at most patterns x
-        360, beside the plan memo), so a setup reads a0 once and returns
-        the winner's reordering of it; only an empty slot scores the
-        candidates. A non-board goes to box.rank, as an odd a0 does.
+        The winner is the pair's pattern's slot for the place of a0, the
+        first candidate's residual (see the module docstring), scored
+        only when empty. A non-board goes to box.rank, as an odd a0 does.
         """
         if not box.is_board(c):
             raise _rank_or_fault(c)
@@ -355,10 +354,11 @@ class Solver:
         """Optimal and heuristic lengths over every reachable config.
 
         Returns (summary dict, rows); rows are per-rank tuples of
-        (rank, optimal, a6 total, a5 total). Every heuristic solution is
-        verified by application inside the solve calls.
+        (rank, optimal, a6 total, a5 total), optimal the strict distance in
+        every mode (criterion 9 pins its max at 19). Every heuristic
+        solution is verified by application inside the solve calls.
         """
-        table = self.distance
+        table = self.distance()
         rows = []
         for r in range(box.N_REACHABLE):
             c = box.unrank(r)

@@ -19,21 +19,14 @@ A5_GENERATOR_CYCLES = ("(1,2,3)", "(3,4,5)")
 A6_GENERATOR_CYCLES = ("(1,2,3)", "(3,4,5)", "(5,6,1)")
 
 
-def _signed_letters(gens) -> dict:
-    """{+k: k-th generator, -k: its inverse}, ordered +1, -1, +2, -2, ..."""
-    letters = {}
-    for i, g in enumerate(gens, start=1):
-        letters[i] = g
-        letters[-i] = perm.inverse(g)
-    return letters
-
-
 class WordTable:
     def __init__(self, gens: tuple, entries: dict):
         self.gens = gens
         # Perm -> word (tuple of signed generator indices)
         self.entries = entries
-        self.letters = _signed_letters(gens)
+        # {+k: k-th generator, -k: its inverse}, ordered +1, -1, +2, -2, ...
+        self.letters = {s: g if s > 0 else perm.inverse(g)
+                        for k, g in enumerate(gens, start=1) for s in (k, -k)}
 
     def __len__(self):
         return len(self.entries)

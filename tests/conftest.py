@@ -9,6 +9,13 @@ def distance_table():
 
 
 @pytest.fixture(scope="session")
+def mode_tables(distance_table):
+    """Each target mode's distance table, the strict one shared."""
+    return {mode: distance_table if mode == "strict"
+            else groups.build_distance_table(mode) for mode in solver.MODES}
+
+
+@pytest.fixture(scope="session")
 def center_elements(distance_table):
     return groups.center(distance_table)
 

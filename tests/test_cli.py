@@ -100,8 +100,9 @@ def test_solve_rejects_ignored_input(capsys, argv):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("method, target", [("optimal", "strict")] + [
-    (method, target) for method in ("a6", "a5") for target in solver.MODES])
+@pytest.mark.parametrize("method, target", [
+    (method, target) for method in ("optimal", "a6", "a5")
+    for target in solver.MODES])
 def test_solve_unreachable_config(capsys, method, target):
     # the solve call itself turns the board away, under every method
     code, out, err = run(capsys, "solve", "1,2,3,4,6,5,7,_",
@@ -123,17 +124,22 @@ def test_solve_needs_a_config_or_random(capsys):
     assert "config" in err
 
 
-@pytest.mark.parametrize("target", ("center", "rotation"))
-def test_solve_optimal_rejects_a_non_strict_target(capsys, target):
-    code, out, err = run(capsys, "solve", "--random", "--seed", "1",
+@pytest.mark.parametrize("target, seed", (("center", 1), ("rotation", 2)))
+def test_solve_optimal_honours_the_target(capsys, mode_tables, target, seed):
+    # on these configs the strict answer is longer than the distance to
+    # the mode's targets, so answering with it would show
+    code, out, err = run(capsys, "solve", "--random", "--seed", str(seed),
                          "--method", "optimal", "--target", target)
-    assert code == cli.INPUT_ERROR
-    assert out == ""
-    assert err.startswith("error:") and "Traceback" not in err
-    code, out, _ = run(capsys, "solve", "--random", "--seed", "1",
-                       "--method", "optimal", "--target", "strict")
-    assert code == cli.OK
-    assert json.loads(out)["method"] == "optimal"
+    assert (code, err) == (cli.OK, "")
+    payload = json.loads(out)
+    config = box.random_reachable(seed)
+    reached = box.parse_config(payload["target"])
+    assert payload["method"] == "optimal"
+    assert box.apply_word(config, payload["moves"]) == reached
+    assert reached in {rot.target() for rot in box.TARGET_FRAMES[target]}
+    r = box.rank(config)
+    assert payload["total"] == mode_tables[target].depth[r] \
+        < mode_tables["strict"].depth[r]
 
 
 def test_words_csv(capsys):
@@ -313,11 +319,11 @@ def _exit_code_contract(argv):
 
 @settings(max_examples=150, deadline=None)
 @given(_BOARDS, _SOLVE_FLAGS)
-def test_solve_exit_code_contract(distance_table, text, flags):
+def test_solve_exit_code_contract(mode_tables, text, flags):
     argv = ["solve", text] + [arg for flag in flags for arg in flag]
-    # optimal solves would otherwise rebuild the distance table each time
+    # optimal solves would otherwise rebuild the mode's table each time
     with mock.patch.object(groups, "build_distance_table",
-                           lambda: distance_table):
+                           lambda mode="strict": mode_tables[mode]):
         _exit_code_contract(argv)
 
 

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from varikon import box, groups, perm
 
 FROZEN_HISTOGRAM = [
@@ -55,6 +57,36 @@ def test_depths(distance_table):
     assert distance_table.depth[box.rank(box.apply_word(box.SOLVED, "RBRB"))] <= 4
     assert distance_table.max_depth == 19
     assert distance_table.histogram() == FROZEN_HISTOGRAM
+
+
+# mode -> (maximum depth, depth sum over the 20,160 ranks)
+MODE_DEPTHS = {"strict": (19, 261504), "center": (15, 212208),
+               "rotation": (14, 182688)}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_DEPTHS))
+def test_mode_tables_are_rooted_at_the_targets(mode_tables, mode):
+    table = mode_tables[mode]
+    assert (table.max_depth, sum(table.depth)) == MODE_DEPTHS[mode]
+    assert {r for r, d in enumerate(table.depth) if d == 0} == {
+        box.rank(rot.target()) for rot in box.TARGET_FRAMES[mode]}
+    # only the identity-rooted tree defines the left action
+    assert bool(table.left_rank) == (mode == "strict")
+
+
+def test_mode_depths_match_the_strict_table(distance_table, mode_tables):
+    # a second route: the distance from c to a target t is the strict depth
+    # of g_c^-1 g_t, reached from the identity by c's descent word and then
+    # word_to(t); a mode's depth is the least over its targets
+    t = distance_table
+    words_to = {mode: [t.word_to(box.rank(rot.target()))
+                       for rot in box.TARGET_FRAMES[mode]]
+                for mode in ("center", "rotation")}
+    for r in range(box.N_REACHABLE):
+        inverse = t.walk(t.root, t.descend(r))
+        for mode, words in words_to.items():
+            assert mode_tables[mode].depth[r] == min(
+                t.depth[t.walk(inverse, w)] for w in words), (mode, r)
 
 
 def test_neighboring_depths_differ_by_one(distance_table):

@@ -94,7 +94,7 @@ def test_solved_input_needs_no_moves(box_solver):
     for mode in solver.MODES:
         assert box_solver.solve_heuristic_a6(box.SOLVED, mode).total == 0
         assert box_solver.solve_heuristic_a5(box.SOLVED, mode).total == 0
-    assert box_solver.solve_optimal(box.SOLVED).total == 0
+        assert box_solver.solve_optimal(box.SOLVED, mode).total == 0
 
 
 def test_setup_on_solved_is_empty(box_solver):
@@ -312,16 +312,18 @@ def test_replay_rejects_a_wrong_word(box_solver):
                            match="produced an invalid solution"):
             box_solver.solve_heuristic_a6(c)
     assert box_solver.solve_heuristic_a6(c) == sol
-    # the optimal descent goes through the same replay check
+    # the optimal descent goes through the same replay check in every
+    # mode: a word cut short ends off depth 0, so it declares no target
     descend = groups.DistanceTable.descend
-    optimal = box_solver.solve_optimal(c)
-    assert optimal.total > 0
-    with mock.patch.object(groups.DistanceTable, "descend",
-                           lambda table, r: descend(table, r)[:-1]):
-        with pytest.raises(AssertionError,
-                           match="produced an invalid solution"):
-            box_solver.solve_optimal(c)
-    assert box_solver.solve_optimal(c) == optimal
+    for mode in solver.MODES:
+        optimal = box_solver.solve_optimal(c, mode)
+        assert optimal.total > 0
+        with mock.patch.object(groups.DistanceTable, "descend",
+                               lambda table, r: descend(table, r)[:-1]):
+            with pytest.raises(AssertionError,
+                               match="produced an invalid solution"):
+                box_solver.solve_optimal(c, mode)
+        assert box_solver.solve_optimal(c, mode) == optimal
 
 
 @pytest.mark.parametrize("mode", solver.MODES)
@@ -399,8 +401,13 @@ def test_cold_and_warm_solvers_agree(box_solver):
 
 
 def test_setup_phase_rejects_unknown_mode(box_solver):
-    with pytest.raises(ValueError):
-        box_solver.setup_phase(box.SOLVED, "bogus")
+    # every method, and the table build, turn the mode away in one place
+    for solve in (box_solver.setup_phase, box_solver.solve_heuristic_a6,
+                  box_solver.solve_heuristic_a5, box_solver.solve_optimal):
+        with pytest.raises(ValueError, match="unknown target mode 'bogus'"):
+            solve(box.SOLVED, "bogus")
+    with pytest.raises(ValueError, match="unknown target mode 'bogus'"):
+        groups.build_distance_table("bogus")
 
 
 def test_optimal_length_matches_bfs_depth(box_solver, distance_table):
@@ -441,10 +448,13 @@ def test_solutions_reach_their_declared_target(box_solver):
     for _ in range(80):
         c = box.unrank(rng.randrange(box.N_REACHABLE))
         for mode in solver.MODES:
+            targets = {rot.target() for rot in box.TARGET_FRAMES[mode]}
             for method in (box_solver.solve_heuristic_a6,
-                           box_solver.solve_heuristic_a5):
+                           box_solver.solve_heuristic_a5,
+                           box_solver.solve_optimal):
                 sol = method(c, mode)
                 assert box.apply_word(c, sol.moves) == sol.target
+                assert sol.target in targets
                 if mode == "strict":
                     assert sol.target == box.SOLVED
 

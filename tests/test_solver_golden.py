@@ -54,3 +54,25 @@ def test_exhaustive_optimal_solutions_match_golden(box_solver, all_configs):
     for c in all_configs:
         digest.update((box_solver.solve_optimal(c).moves + "\n").encode())
     assert digest.hexdigest() == OPTIMAL_SHA256
+
+
+# mode -> (sum of solve_optimal(c, mode)'s lengths, the sha256 of its moves
+# as OPTIMAL_SHA256)
+MODE_OPTIMAL = {
+    "center": (212208, "f733d28dab6257acaf7fa5386fd534ac"
+                       "6c49a99dec3e67762661a4d47169466e"),
+    "rotation": (182688, "e6f6981b2b2470018afe8e1afca0b20b"
+                         "3c355379e57d355fcfbcf86665729103"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_OPTIMAL))
+def test_exhaustive_optimal_solutions_to_a_target_set_match_golden(
+        box_solver, all_configs, mode):
+    digest = hashlib.sha256()
+    total = 0
+    for c in all_configs:
+        moves = box_solver.solve_optimal(c, mode).moves
+        total += len(moves)
+        digest.update((moves + "\n").encode())
+    assert (total, digest.hexdigest()) == MODE_OPTIMAL[mode]
