@@ -13,7 +13,7 @@ which pins down everything else (see three_cycle_atoms).
 
 import random
 from collections import namedtuple
-from functools import cache
+from functools import cache, partial
 from itertools import permutations, product
 from operator import itemgetter
 from . import perm
@@ -120,8 +120,9 @@ def is_reachable(c) -> bool:
 
 
 def enumerate_reachable() -> set:
-    """BFS from the solved state over {R,U,B}."""
-    return set(perm.bfs([SOLVED], LETTERS, apply_move))
+    """The orbit of the solved state under {R,U,B}."""
+    return perm.orbit([SOLVED], [partial(map, partial(apply_move, m=m))
+                                 for m in LETTERS])
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +235,9 @@ def move_tables() -> dict[str, list[int]]:
     piece sequence by a position map that depends only on (b, j), so the
     slice of block b is one map over its lex-ordered sequences, looked up
     in the index of the sequences of block j's parity. Where the map keeps
-    the sequence (adjacent cells, R's moves) and both blocks index one
-    lex list, the slice is block j itself."""
+    the first five slots (R's moves, and B's between cells 5 and 7, which
+    swap the last two slots across the parity lists) it keeps h, by the
+    lex pair rule of _lex_sequences, and the slice is block j itself."""
     seqs, index = _lex_sequences()
     tables = {}
     for m in LETTERS:
@@ -246,13 +248,12 @@ def move_tables() -> dict[str, list[int]]:
             # sequence skips cell j; a cell's old slot skipped cell b
             cells = [j if c == b else c for c in range(8) if c != j]
             slots = [c - (c > b) for c in cells]
-            parity = _seq_parity_for_blank(b)
-            if slots == list(range(7)) and parity == _seq_parity_for_blank(j):
+            if slots[:5] == [0, 1, 2, 3, 4]:
                 row.extend(block(j))
                 continue
             lookup = index[_seq_parity_for_blank(j)].__getitem__
             row.extend(map((j * BLOCK).__add__, map(lookup, map(
-                itemgetter(*slots), seqs[parity]))))
+                itemgetter(*slots), seqs[_seq_parity_for_blank(b)]))))
     return tables
 
 
@@ -288,7 +289,8 @@ def atoms_report() -> Report:
 def subgroup_order(letters) -> int:
     """Orbit size of the solved state under the subgroup generated by the
     given letters. The action is regular, so this is the subgroup order."""
-    return len(perm.bfs([SOLVED], letters, apply_move))
+    return len(perm.orbit([SOLVED], [partial(map, partial(apply_move, m=m))
+                                     for m in letters]))
 
 
 def dihedral_check(x: str, y: str, table) -> list:

@@ -15,6 +15,7 @@ from .report import Report
 SOLVED = tuple(range(1, 16)) + (BLANK,)
 
 _WORD_TOKEN = re.compile(r"([RU])([0-9]*)")
+_WORD = re.compile(r"(?:[RU][0-9]*)*")
 
 
 def apply_move(c, m: str):
@@ -41,17 +42,11 @@ def parse_word(text: str) -> str:
     "U3R" -> "UUUR". Returns the flat letter string."""
     if not isinstance(text, str):
         raise ValueError("word must be a string")
-    pos = 0
-    out = []
-    for match in _WORD_TOKEN.finditer(text):
-        if match.start() != pos:
-            raise ValueError(f"malformed word at offset {pos}: {text!r}")
-        letter, exp = match.groups()
-        out.append(letter * (int(exp) if exp else 1))
-        pos = match.end()
-    if pos != len(text):
+    if not _WORD.fullmatch(text):  # the offset: where the token run stops
+        pos = _WORD.match(text).end()
         raise ValueError(f"malformed word at offset {pos}: {text!r}")
-    return "".join(out)
+    return "".join([letter * (int(exp) if exp else 1)
+                    for letter, exp in _WORD_TOKEN.findall(text)])
 
 
 def invert_word(text: str) -> str:

@@ -17,7 +17,8 @@ place.
 
 import random
 from collections import Counter
-from itertools import islice
+from itertools import compress, islice
+from operator import eq
 
 from . import box, perm
 from .report import Report
@@ -25,11 +26,13 @@ from .report import Report
 
 # ---------------------------------------------------------------------------
 
-def _walk_rows(r: int, rows) -> int:
-    """The rank reached from rank r through move_rank rows in turn."""
-    for row in rows:
-        r = row[r]
-    return r
+def _rows_step(rows):
+    """A perm.orbit step: ranks mapped through move_rank rows in turn."""
+    def step(ranks):
+        for row in rows:
+            ranks = map(row.__getitem__, ranks)
+        return ranks
+    return step
 
 
 class DistanceTable:
@@ -48,13 +51,19 @@ class DistanceTable:
         # left_rank[m][r]: the rank of m + (the BFS-tree word to r); m's
         # move at the root, the parent's entry moved by the row below it
         self.depth = depth = [0] * box.N_REACHABLE
-        self.left_rank = left = {m: [row[root]] * box.N_REACHABLE
-                                 for m, row in move_rank.items()
-                                 if roots == [root]}
-        for r, (prev, move) in islice(tree.items(), len(roots), None):
-            depth[r] = depth[prev] + 1
-            for row in left.values():
-                row[r] = move[row[prev]]
+        self.left_rank = {m: [row[root]] * box.N_REACHABLE
+                          for m, row in move_rank.items() if roots == [root]}
+        edges = islice(tree.items(), len(roots), None)
+        if self.left_rank:
+            lr, lu, lb = self.left_rank.values()
+            for r, (prev, move) in edges:
+                depth[r] = depth[prev] + 1
+                lr[r] = move[lr[prev]]
+                lu[r] = move[lu[prev]]
+                lb[r] = move[lb[prev]]
+        else:
+            for r, (prev, _) in edges:
+                depth[r] = depth[prev] + 1
         self.max_depth = max(depth)
 
     def histogram(self) -> list[tuple[int, int]]:
@@ -82,7 +91,9 @@ class DistanceTable:
 
     def walk(self, r: int, word: str) -> int:
         """The rank reached from rank r by applying word's letters."""
-        return _walk_rows(r, map(self.move_rank.__getitem__, word))
+        for row in map(self.move_rank.__getitem__, word):
+            r = row[r]
+        return r
 
     def commutes(self, r: int, word: str) -> bool:
         """Whether element r commutes with word: r then word (walk) lands
@@ -104,12 +115,12 @@ def center(table: DistanceTable) -> list[int]:
     """Ranks of the elements commuting with the three single-letter
     generators (sufficient, since the letters generate the whole group):
     r commutes with letter m exactly when move_rank[m][r] equals
-    left_rank[m][r] (DistanceTable.commutes), so one pass over the rows
-    compares all three letters."""
-    moves = zip(*(table.move_rank[m] for m in box.LETTERS))
-    lefts = zip(*(table.left_rank[m] for m in box.LETTERS))
-    return [r for r, (moved, left) in enumerate(zip(moves, lefts))
-            if moved == left]
+    left_rank[m][r] (DistanceTable.commutes). R's rows screen every rank
+    in one C-level pass; U and B are tested on the survivors only."""
+    move, left = table.move_rank, table.left_rank
+    ranks = compress(range(box.N_REACHABLE), map(eq, move["R"], left["R"]))
+    return [r for r in ranks
+            if move["U"][r] == left["U"][r] and move["B"][r] == left["B"][r]]
 
 
 # The three 18-move words realizing the nontrivial central elements;
@@ -230,11 +241,11 @@ def verify_structure(table: DistanceTable, center_ranks, kernel) -> Report:
     # commutation, so the element built from the cycle image serves)
     gen_words = ["R"] + [table.word_to(box.rank(box.config_of(p)))
                          for p in kgen_perms]
-    # each word walked as its letters' move_rank rows, split once
-    gen_rows = [tuple(map(table.move_rank.__getitem__, w)) for w in gen_words]
-    closure = perm.bfs([root], gen_rows, _walk_rows)
+    # each word walked as its letters' move_rank rows, a frontier at a time
+    closure = perm.orbit([root], [
+        _rows_step([table.move_rank[m] for m in w]) for w in gen_words])
     rep.add("(e) closure of R + the 3-cycles equals K<R>", True,
-            closure.keys() == kr_ranks)
+            closure == kr_ranks)
 
     # commuting with R is screened on R's rows first, as center does
     central = [box.unrank(r) for r in sorted(kr_ranks) if mr[r] == lr[r]

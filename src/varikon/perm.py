@@ -7,7 +7,9 @@ internal is 0-indexed.
 """
 
 from collections import deque
-from itertools import permutations
+from functools import partial
+from itertools import permutations, product
+from operator import itemgetter
 
 Perm = tuple[int, ...]
 
@@ -120,10 +122,25 @@ def bfs(roots, labels, move) -> dict:
     return tree
 
 
+def orbit(roots, steps) -> set:
+    """The states reachable from the roots, a frontier at a time: each of
+    the steps (a sequence) maps an iterable of states to their images
+    along one kind of edge, and the images not seen before are the next
+    frontier. For the reached set only; bfs keeps the tree."""
+    seen = frontier = set(roots)
+    while frontier:
+        images = set()
+        for step in steps:
+            images.update(step(frontier))
+        frontier = images - seen
+        seen |= frontier
+    return seen
+
+
 def generate(gens) -> set:
-    """Closure of a non-empty generator set under composition (BFS from
-    the identity). Finite closure under products contains inverses, so
-    this is the generated subgroup."""
+    """The subgroup that a non-empty generator set generates: the orbit of
+    the identity under left multiplication, g*p = itemgetter(*g)(p). On
+    one point, where that would give a bare item, the identity is all."""
     gens = list(gens)
     if not gens:
         raise ValueError("empty generator set")
@@ -132,12 +149,16 @@ def generate(gens) -> set:
         if len(g) != n:
             raise ValueError("generators act on different point counts")
         validate(g)
-    return set(bfs([identity(n)], gens, compose))
+    steps = [partial(map, itemgetter(*g)) for g in gens if n > 1]
+    return orbit([identity(n)], steps)
 
 
 def all_even(n: int) -> set:
-    """Brute-force set of all even permutations of n points.
-
-    Independent of generate(); used to cross-check generated groups.
-    """
-    return {p for p in permutations(range(n)) if parity(p) == 0}
+    """All even permutations of n points, independent of generate(); used
+    to cross-check generated groups. The Lehmer codes, the digit tuples
+    of product(range(n), range(n - 1), ..., range(1)), come in the lex
+    order of permutations(), and a code's digit sum counts its
+    permutation's inversions, so the sum mod 2 is the parity."""
+    codes = product(*map(range, range(n, 0, -1)))
+    return {p for p, d in zip(permutations(range(n)), map(sum, codes))
+            if not d % 2}

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varikon
-from varikon import box, cli, groups, solver
+from varikon import box, cli, groups, perm, solver
 
 
 def run(capsys, *argv):
@@ -267,6 +267,19 @@ def test_verify_builds_each_table_once(distance_table):
         cli.build_verify_reports()
     assert (build.call_count, kernel.call_count,
             enumerate_.call_count) == (1, 1, 0)
+
+
+def test_verify_does_no_per_element_permutation_work():
+    # parity and compose are per-permutation Python calls: a verify pass
+    # reads parity off Lehmer codes and generates by C-level maps, so
+    # only the word tables' own products remain
+    parity = mock.Mock(wraps=perm.parity)
+    compose = mock.Mock(wraps=perm.compose)
+    with mock.patch.object(perm, "parity", parity), \
+            mock.patch.object(perm, "compose", compose):
+        cli.build_verify_reports()
+    assert parity.call_count <= 16
+    assert compose.call_count <= 3000
 
 
 def test_heuristic_solve_builds_no_distance_table(capsys):

@@ -70,6 +70,15 @@ def test_word_grammar():
             fifteen.parse_word(bad)
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("RX", 1), ("3R", 0), ("R U", 1), ("U3Rq", 3)])
+def test_malformed_word_names_the_offset(text, offset):
+    # the offset is where the run of letter-exponent tokens stops
+    with pytest.raises(ValueError) as err:
+        fifteen.parse_word(text)
+    assert str(err.value) == f"malformed word at offset {offset}: {text!r}"
+
+
 @given(move_words)
 def test_invert_word_round_trip(w):
     c = scrambled(5)

@@ -1,5 +1,6 @@
 """Group elements as ranks, BFS distances, structure checks."""
 
+import copy
 import random
 
 import pytest
@@ -136,6 +137,17 @@ def test_center_matches_the_letter_commutation_test(distance_table,
         if all(distance_table.commutes(r, m) for m in "RUB")]
 
 
+@pytest.mark.parametrize("letter", ["U", "B"])
+def test_center_tests_every_letter(distance_table, center_elements, letter):
+    # center screens on R's rows; a rank whose U or B action is broken
+    # must still drop out
+    z = next(r for r in center_elements if r != distance_table.root)
+    table = copy.copy(distance_table)
+    table.left_rank = {m: list(row) for m, row in table.left_rank.items()}
+    table.left_rank[letter][z] = table.move_rank[letter][z] ^ 1
+    assert groups.center(table) == [r for r in center_elements if r != z]
+
+
 def test_center_words_report(distance_table, center_elements):
     rep = groups.verify_center_words(distance_table, center_elements)
     assert rep.passed, [c.row() for c in rep.failures()]
@@ -176,3 +188,14 @@ def test_structure_report(distance_table, center_elements):
     kernel = groups.subgroup_K()
     rep = groups.verify_structure(distance_table, center_elements, kernel)
     assert rep.passed, [c.row() for c in rep.failures()]
+
+
+def test_structure_report_fails_on_too_few_kernel_generators(
+        monkeypatch, distance_table, center_elements):
+    # one 3-cycle generates neither A7 nor, with R, the group K<R>
+    monkeypatch.setattr(groups, "K_GENERATOR_CYCLES", ("(5,6,1)",))
+    rep = groups.verify_structure(distance_table, center_elements,
+                                  groups.subgroup_K())
+    failed = {c.claim for c in rep.failures()}
+    assert {"(e) named 3-cycles generate all even piece permutations",
+            "(e) closure of R + the 3-cycles equals K<R>"} <= failed

@@ -1,5 +1,8 @@
 """Permutations as images tuples: composition order, parity, cycle text."""
 
+from functools import partial
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -98,6 +101,17 @@ def test_generate_rejects_bad_input():
         perm.generate([(0, 1), (0, 1, 2)])
 
 
+def test_generate_on_one_point():
+    assert perm.generate([(0,)]) == {(0,)}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_all_even_matches_the_parity_route(n):
+    # all_even reads parity off the Lehmer codes; parity counts cycles
+    assert perm.all_even(n) == {p for p in permutations(range(n))
+                                if perm.parity(p) == 0}
+
+
 def test_all_even():
     evens = perm.all_even(4)
     assert len(evens) == 12
@@ -137,3 +151,29 @@ def test_bfs_tree_edges_are_moves():
         if prev is not None:
             assert perm.compose(prev, g) == p
             assert order[prev] < order[p]
+
+
+def _graph_steps(labels):
+    return [partial(map, lambda s, m=m: BFS_GRAPH[s][m]) for m in labels]
+
+
+@pytest.mark.parametrize("labels", ["xy", "yx"])
+def test_orbit_is_the_bfs_reached_set(labels):
+    tree = perm.bfs(["r1", "r2"], labels, lambda s, m: BFS_GRAPH[s][m])
+    assert perm.orbit(["r1", "r2"], _graph_steps(labels)) == set(tree)
+    # roots that reach part of the graph only
+    assert perm.orbit(["c"], _graph_steps(labels)) == {"c"}
+    assert perm.orbit(["b"], _graph_steps(labels)) == {"b", "d"}
+
+
+def test_orbit_of_the_a5_generators():
+    gens = [perm.parse_cycles("(1,2,3)", 5), perm.parse_cycles("(3,4,5)", 5)]
+    steps = [partial(map, lambda p, g=g: perm.compose(p, g)) for g in gens]
+    reached = perm.orbit([perm.identity(5)], steps)
+    assert reached == set(perm.bfs([perm.identity(5)], gens, perm.compose))
+    assert reached == perm.generate(gens) == perm.all_even(5)
+
+
+def test_orbit_without_steps_is_the_roots():
+    assert perm.orbit(["r1", "r2", "r1"], []) == {"r1", "r2"}
+    assert perm.orbit([], _graph_steps("xy")) == set()
