@@ -221,11 +221,16 @@ def rank(c) -> int:
     return b * BLOCK + h
 
 
+def block_sequences(b: int) -> list:
+    """Block b's piece sequences in lex order, rank b * BLOCK + h the h-th."""
+    return _lex_sequences()[0][_seq_parity_for_blank(b)]
+
+
 def unrank(r: int):
     if not 0 <= r < N_REACHABLE:
         raise ValueError(f"rank out of range: {r}")
     b, h = divmod(r, BLOCK)
-    seq = _lex_sequences()[0][_seq_parity_for_blank(b)][h]
+    seq = block_sequences(b)[h]
     return seq[:b] + (BLANK,) + seq[b:]
 
 
@@ -234,26 +239,31 @@ def move_tables() -> dict[str, list[int]]:
     is built or ranked: a move from blank cell b to cell j reorders the
     piece sequence by a position map that depends only on (b, j), so the
     slice of block b is one map over its lex-ordered sequences, looked up
-    in the index of the sequences of block j's parity. Where the map keeps
-    the first five slots (R's moves, and B's between cells 5 and 7, which
-    swap the last two slots across the parity lists) it keeps h, by the
-    lex pair rule of _lex_sequences, and the slice is block j itself."""
-    seqs, index = _lex_sequences()
+    in the index of the sequences of block j's parity; moves are
+    involutions, so block j's slice is block b's inverse, scattered. Where
+    the map keeps the first five slots (R's moves, and B's between cells 5
+    and 7, which swap the last two slots across the parity lists) it keeps
+    h, by the lex pair rule of _lex_sequences: the slices are the blocks."""
+    index = _lex_sequences()[1]
     tables = {}
     for m in LETTERS:
-        row = tables[m] = []
-        for b in range(8):
-            j = b ^ STEP[m]
+        row = tables[m] = [0] * N_REACHABLE
+        # each pair of blocks once, from the block b with m's bit clear
+        for b, j in ((b, b | STEP[m]) for b in range(8) if not b & STEP[m]):
             # the piece from cell j now sits in cell b, and the new
             # sequence skips cell j; a cell's old slot skipped cell b
             cells = [j if c == b else c for c in range(8) if c != j]
             slots = [c - (c > b) for c in cells]
             if slots[:5] == [0, 1, 2, 3, 4]:
-                row.extend(block(j))
+                row[b * BLOCK:(b + 1) * BLOCK] = block(j)
+                row[j * BLOCK:(j + 1) * BLOCK] = block(b)
                 continue
             lookup = index[_seq_parity_for_blank(j)].__getitem__
-            row.extend(map((j * BLOCK).__add__, map(lookup, map(
-                itemgetter(*slots), seqs[_seq_parity_for_blank(b)]))))
+            row[b * BLOCK:(b + 1) * BLOCK] = image = list(map(
+                (j * BLOCK).__add__, map(lookup, map(
+                    itemgetter(*slots), block_sequences(b)))))
+            for r, s in zip(block(b), image):
+                row[s] = r
     return tables
 
 
@@ -300,21 +310,21 @@ def dihedral_check(x: str, y: str, table) -> list:
     if x == y or x not in AXIS_BIT or y not in AXIS_BIT:
         raise ValueError(f"need two distinct move letters, got {x!r},{y!r}")
     mx, my = table.move_rank[x], table.move_rank[y]
-    ranks = list(range(N_REACHABLE))
-    xy = [my[s] for s in mx]  # the action of XY as one rank map
-    xy3 = [xy[s] for s in [xy[s] for s in xy]]  # (XY)^6 is its square
+    ranks = tuple(range(N_REACHABLE))
+    xy = perm.take(my, mx)  # the action of XY as one rank map
+    xy3 = perm.take(xy, perm.take(xy, xy))  # (XY)^6 is its square
     # (XY)^-1 computed as the inverse of the XY action map, not by word
     # manipulation, so the braid relation check does not presuppose that
-    # letters are involutions. It holds the ranks list's own ints; a rank
+    # letters are involutions. It holds the ranks tuple's own ints; a rank
     # that XY misses (a broken table) keeps None and fails the compare.
     xy_inverse = [None] * N_REACHABLE
     for r, s in zip(ranks, xy):
         xy_inverse[s] = r
-    braid = [mx[s] for s in xy] == [xy_inverse[s] for s in mx]
+    braid = perm.take(mx, xy) == perm.take(xy_inverse, mx)
 
     return [
-        Check(f"{x}^2 = e", True, [mx[s] for s in mx] == ranks),
-        Check(f"({x}{y})^6 = e", True, [xy3[s] for s in xy3] == ranks),
+        Check(f"{x}^2 = e", True, perm.take(mx, mx) == ranks),
+        Check(f"({x}{y})^6 = e", True, perm.take(xy3, xy3) == ranks),
         Check(f"{x}{y}.{x} = {x}.({x}{y})^-1", True, braid),
         Check(f"|<{x},{y}>| = 12", 12, subgroup_order(x + y)),
     ]

@@ -17,7 +17,8 @@ place.
 
 import random
 from collections import Counter
-from itertools import compress, islice
+from functools import partial, reduce
+from itertools import compress
 from operator import eq
 
 from . import box, perm
@@ -27,43 +28,42 @@ from .report import Report
 # ---------------------------------------------------------------------------
 
 def _rows_step(rows):
-    """A perm.orbit step: ranks mapped through move_rank rows in turn."""
-    def step(ranks):
-        for row in rows:
-            ranks = map(row.__getitem__, ranks)
-        return ranks
-    return step
+    """A perm.orbit step: ranks gathered through move_rank rows in turn."""
+    return partial(reduce, lambda ranks, row: perm.take(row, ranks), rows)
 
 
 class DistanceTable:
     """Shortest word lengths over {R,U,B} to a mode's nearest target, by
-    rank: one perm.bfs rooted at box.TARGET_FRAMES[mode]. Only the strict
-    table, rooted at the identity, has the letters' left action, left_rank."""
+    rank: a breadth-first fill over the ranks from box.TARGET_FRAMES[mode].
+    Only the strict table, rooted at the identity, has left_rank."""
 
     def __init__(self, mode: str = "strict"):
-        roots = [box.rank(rot.target()) for rot in box.target_frames(mode)]
+        # the queue starts at the roots and is read while it grows
+        queue = [box.rank(rot.target()) for rot in box.target_frames(mode)]
         self.move_rank = move_rank = box.move_tables()
         self.root = root = box.rank(box.SOLVED)
-        # the rows themselves are the BFS labels, in R,U,B order
-        tree = perm.bfs(roots, move_rank.values(), lambda r, row: row[r])
-        if len(tree) != box.N_REACHABLE:
-            raise AssertionError("BFS did not reach every rank")
-        # left_rank[m][r]: the rank of m + (the BFS-tree word to r); m's
-        # move at the root, the parent's entry moved by the row below it
-        self.depth = depth = [0] * box.N_REACHABLE
+        rows = list(move_rank.values())  # R,U,B order, as descend tries them
+        self.depth = depth = [-1] * box.N_REACHABLE  # -1: not reached yet
+        for r in queue:
+            depth[r] = 0
+        # left_rank[m][s]: the rank of m + (a word to s), m's move at the
+        # root; s = row[r] takes m + word(r) moved by row, whichever r
+        strict = queue == [root]
         self.left_rank = {m: [row[root]] * box.N_REACHABLE
-                          for m, row in move_rank.items() if roots == [root]}
-        edges = islice(tree.items(), len(roots), None)
-        if self.left_rank:
-            lr, lu, lb = self.left_rank.values()
-            for r, (prev, move) in edges:
-                depth[r] = depth[prev] + 1
-                lr[r] = move[lr[prev]]
-                lu[r] = move[lu[prev]]
-                lb[r] = move[lb[prev]]
-        else:
-            for r, (prev, _) in edges:
-                depth[r] = depth[prev] + 1
+                          for m, row in move_rank.items() if strict}
+        lr, lu, lb = self.left_rank.values() if strict else (None,) * 3
+        for r in queue:
+            for row in rows:
+                s = row[r]
+                if depth[s] < 0:
+                    depth[s] = depth[r] + 1
+                    queue.append(s)
+                    if strict:
+                        lr[s] = row[lr[r]]
+                        lu[s] = row[lu[r]]
+                        lb[s] = row[lb[r]]
+        if len(queue) != box.N_REACHABLE:
+            raise AssertionError("BFS did not reach every rank")
         self.max_depth = max(depth)
 
     def histogram(self) -> list[tuple[int, int]]:
@@ -105,7 +105,7 @@ class DistanceTable:
 
 
 def build_distance_table(mode: str = "strict") -> DistanceTable:
-    """God's algorithm: exhaustive BFS (perm.bfs) over the Cayley graph."""
+    """God's algorithm: an exhaustive BFS over the Cayley graph, by rank."""
     return DistanceTable(mode)
 
 
@@ -189,7 +189,8 @@ def subgroup_K() -> range:
 def verify_K_is_A7(kernel) -> Report:
     rep = Report("kernel acts as the even permutations of the pieces")
     rep.add("|K|", 2520, len(kernel))
-    piece_perms = {box.piece_perm(box.unrank(k)) for k in kernel}
+    # K is the blank-home block: piece_perm of each is a block 7 sequence
+    piece_perms = {tuple([v - 1 for v in s]) for s in box.block_sequences(7)}
     even = perm.all_even(7)
     rep.add("piece permutations of K = all even 7-point permutations",
             even, piece_perms)

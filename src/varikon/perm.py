@@ -104,6 +104,14 @@ def format_cycles(p: Perm) -> str:
     return "".join(parts) or "()"
 
 
+def take(table, keys) -> tuple:
+    """tuple(table[k] for k in keys) as one itemgetter gather (which gives
+    a bare item on one key and needs one at least)."""
+    keys = tuple(keys)
+    return itemgetter(*keys)(table) if len(keys) > 1 else tuple(
+        [table[k] for k in keys])
+
+
 def bfs(roots, labels, move) -> dict:
     """Breadth-first search from the roots, where move(state, label) is
     the state one labelled edge away. Returns {state: (parent, label)}

@@ -240,17 +240,20 @@ def test_dihedral_relations_hold(distance_table):
         assert all(c.passed for c in checks), [c.row() for c in checks]
 
 
-@pytest.mark.parametrize("fault", ("swap", "duplicate"))
+@pytest.mark.parametrize("fault", ("swap", "duplicate", "U"))
 def test_dihedral_checks_catch_a_broken_row(distance_table, fault):
+    # "swap" and "duplicate" break R's row; "U" swaps two entries of U's,
+    # which leaves R^2 = e standing
+    letter = "U" if fault == "U" else "R"
     broken = copy.copy(distance_table)
-    row = list(distance_table.move_rank["R"])
-    if fault == "swap":
-        row[5], row[12780] = row[12780], row[5]
-    else:
+    row = list(distance_table.move_rank[letter])
+    if fault == "duplicate":
         row[5] = row[12780]
-    broken.move_rank = {**distance_table.move_rank, "R": row}
+    else:
+        row[5], row[12780] = row[12780], row[5]
+    broken.move_rank = {**distance_table.move_rank, letter: row}
     passed = {c.claim: c.passed for c in box.dihedral_check("R", "U", broken)}
-    assert passed == {"R^2 = e": False, "(RU)^6 = e": False,
+    assert passed == {"R^2 = e": fault == "U", "(RU)^6 = e": False,
                       "RU.R = R.(RU)^-1": False, "|<R,U>| = 12": True}
 
 

@@ -282,6 +282,23 @@ def test_verify_does_no_per_element_permutation_work():
     assert compose.call_count <= 3000
 
 
+def test_verify_does_no_per_rank_config_work():
+    # the table is filled over ranks and the kernel read as block 7's
+    # sequences, so configs are built only for the handful of named
+    # elements, and the table's fill reads no perm.bfs tree
+    unrank = mock.Mock(wraps=box.unrank)
+    piece_perm = mock.Mock(wraps=box.piece_perm)
+    with mock.patch.object(box, "unrank", unrank), \
+            mock.patch.object(box, "piece_perm", piece_perm):
+        cli.build_verify_reports()
+    assert unrank.call_count <= 50
+    assert piece_perm.call_count <= 20
+    bfs = mock.Mock(wraps=perm.bfs)
+    with mock.patch.object(perm, "bfs", bfs):
+        groups.DistanceTable()
+    assert bfs.call_count == 0
+
+
 def test_heuristic_solve_builds_no_distance_table(capsys):
     # a cold heuristic solve must not pay for the 20,160-rank table
     build = mock.Mock(side_effect=AssertionError("distance table built"))

@@ -112,6 +112,41 @@ def test_move_tables_match_tuple_moves(distance_table):
             assert distance_table.left_rank[m][r] == box.rank(left)
 
 
+def test_left_rank_commutes_with_every_right_move(distance_table):
+    # left and right multiplication commute, and m + (empty word) is m's
+    # move at the root; the action is transitive, so these pin all 60,480
+    # left_rank entries whatever tree the table was filled along
+    move, left, root = (distance_table.move_rank, distance_table.left_rank,
+                        distance_table.root)
+    for m in box.LETTERS:
+        assert left[m][root] == move[m][root]
+        for x in box.LETTERS:
+            assert [left[m][s] for s in move[x]] == [
+                move[x][s] for s in left[m]], (m, x)
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_DEPTHS))
+def test_depth_is_the_bfs_tree_depth(mode_tables, mode):
+    # a reference route kept here: perm.bfs's tree, a rank's depth one
+    # more than its parent's
+    roots = [box.rank(rot.target()) for rot in box.TARGET_FRAMES[mode]]
+    rows = list(mode_tables[mode].move_rank.values())
+    tree = perm.bfs(roots, rows, lambda r, row: row[r])
+    depth = {}
+    for r, (prev, _) in tree.items():
+        depth[r] = 0 if prev is None else depth[prev] + 1
+    assert mode_tables[mode].depth == [depth[r]
+                                       for r in range(box.N_REACHABLE)]
+
+
+def test_unreached_ranks_are_refused(monkeypatch):
+    # identity rows reach nothing past the root
+    monkeypatch.setattr(box, "move_tables", lambda: {
+        m: list(range(box.N_REACHABLE)) for m in box.LETTERS})
+    with pytest.raises(AssertionError, match="BFS did not reach every rank"):
+        groups.DistanceTable()
+
+
 def test_word_to_is_a_shortest_witness(distance_table):
     rng = random.Random(4)
     for _ in range(300):

@@ -120,6 +120,23 @@ def test_all_even():
     assert perm.parse_cycles("(1,2)", 4) not in evens
 
 
+TAKE_TABLE = [10, 11, 12, 13, 14]
+
+
+@pytest.mark.parametrize("keys", [[], [3], [4, 0, 4, 2], range(5)])
+def test_take_gathers_any_number_of_keys(keys):
+    # itemgetter alone gives a bare item on one key and refuses none
+    assert perm.take(TAKE_TABLE, keys) == tuple(TAKE_TABLE[k] for k in keys)
+
+
+def test_take_reads_a_generator_or_a_set_once():
+    keys = {0, 2, 3}
+    assert perm.take(TAKE_TABLE, keys) == tuple(TAKE_TABLE[k] for k in keys)
+    assert perm.take(TAKE_TABLE, (k for k in [1])) == (11,)
+    assert perm.take(TAKE_TABLE, (k for k in [])) == ()
+    assert perm.take("abc", iter([2, 0])) == ("c", "a")
+
+
 # r1 and r2 are the roots; b is reachable from both, d from b by either label
 BFS_GRAPH = {
     "r1": {"x": "a", "y": "b"},
