@@ -55,7 +55,7 @@ def build_verify_reports() -> list[Report]:
     ]
     dihedral = Report("dihedral letter pairs")
     for x, y in (("R", "U"), ("R", "B"), ("U", "B")):
-        dihedral.extend(box.dihedral_check(x, y, table))
+        dihedral.checks.extend(box.dihedral_check(x, y, table))
     reports.append(dihedral)
     return reports
 

@@ -36,9 +36,6 @@ class Report:
     def add(self, claim, expected, computed, note=""):
         self.checks.append(Check(claim, expected, computed, note))
 
-    def extend(self, checks):
-        self.checks.extend(checks)
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

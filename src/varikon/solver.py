@@ -116,15 +116,9 @@ def _rank_or_fault(c) -> AssertionError:
 
 
 # read: state -> the pieces in the cells of abstract points 0..5;
-# expansion: signed generator -> physical XYXY; target: as box.Rotation.target
-class _Frame(namedtuple("_Frame", "read expansion target")):
-    __slots__ = ()
-
-    def expand(self, performed) -> str:
-        """Physical moves for abstract letters performed in order: each
-        letter becomes its alternating pair XYXY, conjugated through the
-        frame rotation."""
-        return "".join(map(self.expansion.__getitem__, performed))
+# expansion: signed generator -> physical XYXY, the letter's alternating
+# pair conjugated through the frame rotation; target: as box.Rotation.target
+_Frame = namedtuple("_Frame", "read expansion target")
 
 
 # phases: (label, word) pairs; target: the config actually reached
@@ -292,8 +286,8 @@ class Solver:
     def _first_shortest(self, a0, reorders) -> int:
         """Index of the first candidate whose residual, its reordering of
         a0, has the shortest table word."""
-        lengths = [self.table6.length_of(reorder(a0))
-                   for reorder in reorders]
+        entries = self.table6.entries
+        lengths = [len(entries[reorder(a0)]) for reorder in reorders]
         return lengths.index(min(lengths))
 
     def _setup_words(self, mode: str) -> dict:
@@ -327,14 +321,14 @@ class Solver:
             _, _, prefix, word = min(
                 (len(w), i, prefix, w)
                 for i, (prefix, effect) in enumerate(prefixes[a.index(5)])
-                for w in (table.word_of(
-                    perm.inverse(perm.compose(effect, a)[:n])),))
+                for w in (table.entries[
+                    perm.inverse(perm.compose(effect, a)[:n])],))
             # The residual composes contravariantly with performed letters
             # (the last letter performed acts first on the points), so the
             # canceling sequence is the reversed table word of the inverse.
             performed = plans[a] = prefix + word[::-1]
         frame = self._frame[rot]
-        phys = frame.expand(performed)
+        phys = "".join(map(frame.expansion.__getitem__, performed))
         return Solution(method, setup_word + phys,
                         (("setup", setup_word), ("word-expansion", phys)),
                         frame.target).replayed(c)

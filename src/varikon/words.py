@@ -31,12 +31,6 @@ class WordTable:
     def __len__(self):
         return len(self.entries)
 
-    def word_of(self, p: perm.Perm):
-        return self.entries[p]
-
-    def length_of(self, p: perm.Perm) -> int:
-        return len(self.entries[p])
-
     def max_length(self) -> int:
         return max(len(w) for w in self.entries.values())
 

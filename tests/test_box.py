@@ -196,6 +196,16 @@ def test_lex_sequences_are_built_once():
     assert build.call_count == 1
 
 
+def test_move_tables_map_only_seven_blocks_through_the_index():
+    # R's block pairs and B's between cells 5 and 7 keep the first five
+    # slots, so their slices are the blocks themselves: one build reads
+    # the sequences of 0 blocks for R, 3 for B and 4 for U
+    sequences = mock.Mock(wraps=box.block_sequences)
+    with mock.patch.object(box, "block_sequences", sequences):
+        box.move_tables()
+    assert sequences.call_count == 7
+
+
 def test_block_parity_reads_reachability_once_per_blank_cell():
     # each block's sequence parity is is_reachable on one sorted sequence,
     # cached, so no number of rank and unrank calls makes more than 8

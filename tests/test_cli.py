@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varikon
-from varikon import box, cli, groups, perm, solver
+from varikon import box, cli, groups, perm, solver, words
 
 
 def run(capsys, *argv):
@@ -156,6 +156,10 @@ def test_words_json(capsys):
     assert code == cli.OK
     assert payload["size"] == 360
     assert payload["max_length"] == 5
+    # every table entry, as the CSV rows print it
+    assert [(e["element"], str(e["length"]), e["word"])
+            for e in payload["entries"]] == \
+        words.build_a6_table().csv_rows()[1:]
 
 
 def test_fifteen_solvability_check(capsys):

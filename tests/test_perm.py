@@ -78,9 +78,18 @@ def test_parse_cycles_identity_and_layout():
 
 
 def test_parse_cycles_rejects_bad_text():
-    for text in ("(1,1)", "(0,2)", "(1,9)", "(1,2", "1,2)", "junk", "(1,2)(2,3)"):
-        with pytest.raises(ValueError):
+    for text, message in (
+            ("(1,1)", "repeated point 1"),
+            ("(0,2)", "point 0 out of range 1..8"),
+            ("(1,9)", "point 9 out of range 1..8"),
+            # a half-bracketed text is turned away whole, by either end
+            ("(1,2", "malformed cycle notation: '(1,2'"),
+            ("1,2)", "malformed cycle notation: '1,2)'"),
+            ("junk", "malformed cycle notation: 'junk'"),
+            ("(1,2)(2,3)", "repeated point 2")):
+        with pytest.raises(ValueError) as exc:
             perm.parse_cycles(text, 8)
+        assert str(exc.value) == message, text
 
 
 def test_generate_small_groups():

@@ -24,7 +24,7 @@ def test_expansion_pairs_realize_the_generators(box_solver, a6_table):
     for g, gen in enumerate(A6_GENS, start=1):
         for signed, expected in ((g, gen), (-g, perm.inverse(gen))):
             image = box.apply_word(box.SOLVED,
-                                   box_solver._frame[rot].expand((signed,)))
+                                   box_solver._frame[rot].expansion[signed])
             on_six = solver._atom_on_six(box.piece_perm(image))
             # beta carries the piece permutation onto the abstract points
             relabeled = [0] * 6
@@ -54,8 +54,8 @@ def test_identity_frame_keeps_letters(box_solver):
     rel = box_solver.relabel
     frame = box_solver._frame[box.IDENTITY_ROTATION]
     for k, (x, y) in enumerate(rel.assign, start=1):
-        assert frame.expand((k,)) == 2 * (x + y)
-        assert frame.expand((-k,)) == 2 * (y + x)
+        assert frame.expansion[k] == 2 * (x + y)
+        assert frame.expansion[-k] == 2 * (y + x)
 
 
 def _set_up_states(rot, rng, count):
@@ -85,7 +85,7 @@ def test_every_frame_expands_letters_onto_the_generators(box_solver):
         for x in _set_up_states(rot, rng, 30):
             a = box_solver.residual_abstract(x, rot)
             for s in letters:
-                moved = box.apply_word(x, box_solver._frame[rot].expand((s,)))
+                moved = box.apply_word(x, box_solver._frame[rot].expansion[s])
                 assert box_solver.residual_abstract(moved, rot) == \
                     perm.compose(letters[s], a)
 
@@ -201,7 +201,7 @@ def _reference_setup(s, c, mode):
                 continue
             for rot in s._frames(b, mode):
                 a = s.residual_abstract(state, rot)
-                key = (len(s.table6.word_of(perm.inverse(a))), w,
+                key = (len(s.table6.entries[perm.inverse(a)]), w,
                        rot.bit_perm, rot.mask)
                 candidates.append((key, w, state, rot, a))
         if candidates:
@@ -459,6 +459,29 @@ def test_solutions_reach_their_declared_target(box_solver):
                     assert sol.target == box.SOLVED
 
 
+# per mode and method (a6, a5): max, total, max gap and argmax of the
+# answer lengths; the optimal column is the strict distance in every mode
+SWEEPS = {
+    "strict": ((27, 368372, 16, "_,2,5,6,3,4,7,1"),
+               (37, 438576, 26, "5,4,7,_,3,2,6,1")),
+    "center": ((23, 314288, 16, "_,1,2,3,6,5,7,4"),
+               (33, 385520, 26, "_,2,4,1,5,6,7,3")),
+    "rotation": ((21, 263328, 14, "_,2,3,1,4,6,7,5"),
+                 (32, 324976, 24, "2,_,6,5,4,3,7,1")),
+}
+
+
+def _pinned_summary(mode):
+    """compare_all's whole summary for the mode, each mean as an exact
+    total over the 20,160 configs."""
+    summary = {"mode": mode, "configs": box.N_REACHABLE, "optimal_max": 19,
+               "optimal_mean": 261504 / 20160}
+    for label, (top, total, gap, argmax) in zip(("a6", "a5"), SWEEPS[mode]):
+        summary.update({f"{label}_max": top, f"{label}_mean": total / 20160,
+                        f"{label}_max_gap": gap, f"{label}_argmax": argmax})
+    return summary
+
+
 def test_strict_sweep_statistics(box_solver):
     summary, rows = box_solver.compare_all(mode="strict")
     assert summary["configs"] == box.N_REACHABLE
@@ -466,6 +489,7 @@ def test_strict_sweep_statistics(box_solver):
     assert summary["optimal_mean"] == 261504 / 20160
     assert summary["a6_max"] == 27
     assert summary["a5_max"] == 37
+    assert summary == _pinned_summary("strict")
     # solving to the strict target can never beat the optimal word
     assert all(row[2] >= row[1] and row[3] >= row[1] for row in rows)
 
@@ -475,12 +499,14 @@ def test_center_sweep_statistics(box_solver):
     assert summary["a6_max"] == 23
     assert summary["a5_max"] == 33
     assert summary["a5_argmax"] == "_,2,4,1,5,6,7,3"
+    assert summary == _pinned_summary("center")
 
 
 def test_rotation_sweep_statistics(box_solver):
     summary, _ = box_solver.compare_all(mode="rotation")
     assert summary["a6_max"] == 21
     assert summary["a5_max"] == 32
+    assert summary == _pinned_summary("rotation")
 
 
 PATTERNS = {"strict": 23, "center": 8, "rotation": 8}
@@ -524,7 +550,7 @@ def test_setup_memo_is_exact_and_bounded(box_solver):
                     continue
                 filled += 1
                 a0 = s._residuals[place]
-                lengths = [s.table6.length_of(tuple(a0[t] for t in tau))
+                lengths = [len(s.table6.entries[tuple(a0[t] for t in tau)])
                            for tau in pattern]
                 assert k == lengths.index(min(lengths)), (mode, pattern)
         # a sweep meets every residual of every pair: the bound is reached
