@@ -17,7 +17,7 @@ place.
 
 import random
 from collections import Counter
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from itertools import compress
 from operator import eq
 
@@ -137,16 +137,6 @@ CENTER_WORDS = (
 _AXIS_OF_MASK = {7 ^ (1 << k): m for m, k in box.AXIS_BIT.items()}
 
 
-@cache
-def _sample_words() -> tuple:
-    """Per center word, the 100 random words verify_center_words checks it
-    against: one random.Random(0) stream, drawn once per process."""
-    rng = random.Random(0)
-    return tuple(tuple("".join(rng.choice(box.LETTERS)
-                               for _ in range(rng.randrange(1, 25)))
-                       for _ in range(100)) for _ in CENTER_WORDS)
-
-
 def verify_center_words(table: DistanceTable, center_ranks) -> Report:
     """The center words against the computed center, whose images must be
     the solver's center targets (box.TARGET_FRAMES["center"]): the solved
@@ -162,8 +152,8 @@ def verify_center_words(table: DistanceTable, center_ranks) -> Report:
                     note="order 2")
 
     word_canons = set()
-    for i, (w, sample) in enumerate(zip(CENTER_WORDS, _sample_words()),
-                                    start=1):
+    rng = random.Random(0)
+    for i, w in enumerate(CENTER_WORDS, start=1):
         z = table.walk(table.root, w)
         canon = box.unrank(z)
         word_canons.add(canon)
@@ -176,6 +166,8 @@ def verify_center_words(table: DistanceTable, center_ranks) -> Report:
         rep.add(f"word {i} image is a half-turn image",
                 images.get(mask) if mask else None, canon,
                 note=f"axis {_AXIS_OF_MASK.get(mask, '?')}")
+        sample = ["".join(rng.choice(box.LETTERS) for _ in range(rng.randrange(1, 25)))
+                  for _ in range(100)]
         rep.add(f"word {i} commutes with 100 random words", True,
                 all(table.commutes(z, v) for v in sample))
 

@@ -2,14 +2,18 @@
 
 Usage, from the repository root (stdlib only; pytest must be installed):
 
-    python3 tools/mutants.py [--seed 26] [--count 40] [--out MUTANTS.json]
+    python3 tools/mutants.py [--seed 26] [--count 40] [--out FILE]
 
-No file of the checkout but the --out record is written. src, tests,
-benchmark and the two config files are copied to a temporary directory,
-and every module of the copied package is replaced by its ast.unparse
-text. A control run of
-tier-1 must pass on that copy before any mutant runs. A site is one
-place where one operator applies:
+The record is printed to stdout, or written to FILE when --out names
+one. No file of the checkout is written unless --out names it: the
+committed MUTANTS.json holds survivor classes made by hand, which a
+rerun does not know, so write a rerun elsewhere and carry the classes
+over by hand. Progress goes to stderr.
+
+src, tests, benchmark and the two config files are copied to a
+temporary directory, and every module of the copied package is replaced
+by its ast.unparse text. A control run of tier-1 must pass on that copy
+before any mutant runs. A site is one place where one operator applies:
 - a comparison, arithmetic, bitwise or boolean operator swapped for its
   partner (SWAPS);
 - an integer constant plus one;
@@ -133,7 +137,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=26)
     parser.add_argument("--count", type=int, default=40)
-    parser.add_argument("--out", type=Path, default=ROOT / "MUTANTS.json")
+    parser.add_argument("--out", type=Path,
+                        help="write the JSON record here, not to stdout")
     args = parser.parse_args(argv)
 
     originals = {p.name: p.read_text()
@@ -156,7 +161,7 @@ def main(argv=None) -> int:
         for name, text in unparsed.items():
             (copy / PACKAGE / name).write_text(text)
         result, last, seconds = tier1(copy, timeout=600)
-        print(f"control: {last} ({seconds:.1f} s)", flush=True)
+        print(f"control: {last} ({seconds:.1f} s)", file=sys.stderr)
         if result != "survived":
             print("control run failed; no mutant was run", file=sys.stderr)
             return 1
@@ -178,7 +183,7 @@ def main(argv=None) -> int:
                 row["class"] = None
             mutants.append(row)
             print(f"[{n}/{len(chosen)}] {row['site']} {row['mutation']}: "
-                  f"{result} ({seconds:.1f} s)", flush=True)
+                  f"{result} ({seconds:.1f} s)", file=sys.stderr)
 
     record = {
         "seed": args.seed, "count": args.count, "sites": len(sites),
@@ -189,7 +194,11 @@ def main(argv=None) -> int:
         "survived": sum(m["result"] == "survived" for m in mutants),
         "mutants": mutants,
     }
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    text = json.dumps(record, indent=2) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
