@@ -83,8 +83,9 @@ def cmd_solve(args, out) -> int:
     try:  # an unreachable config is turned away by the solve itself
         config = (box.random_reachable(args.seed or 0) if args.random
                   else box.parse_config(args.config))
-        solve = getattr(solver.Solver(), SOLVE_METHODS[args.method])
-        sol = solve(config, args.target)
+        s = (solver.OptimalSolver if args.method == "optimal"
+             else solver.Solver)()
+        sol = getattr(s, SOLVE_METHODS[args.method])(config, args.target)
     except ValueError as exc:
         return _input_error(str(exc))
     print(json.dumps({

@@ -30,7 +30,7 @@ def compose(a: Perm, b: Perm) -> Perm:
     """Left-to-right product: (a*b)(x) = b(a(x))."""
     if len(a) != len(b):
         raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
-    return tuple([b[x] for x in a])
+    return take(b, a)
 
 
 def inverse(p: Perm) -> Perm:
@@ -112,18 +112,17 @@ def take(table, keys) -> tuple:
         [table[k] for k in keys])
 
 
-def bfs(roots, labels, move) -> dict:
-    """Breadth-first search from the roots, where move(state, label) is
-    the state one labelled edge away. Returns {state: (parent, label)}
-    in discovery order, each root mapped to (None, None). Labels are
-    tried in the order given, so a state records the first edge that
-    reached it."""
+def bfs(roots, labels, moves) -> dict:
+    """Breadth-first search from the roots, where moves(state) gives the
+    state's neighbours in the order of labels, a neighbour reached along
+    the edge that the label at its position names. Returns {state:
+    (parent, label)} in discovery order, each root mapped to (None, None).
+    A state records the first edge that reached it."""
     tree = dict.fromkeys(roots, (None, None))
     queue = deque(tree)
     while queue:
         state = queue.popleft()
-        for label in labels:
-            nxt = move(state, label)
+        for label, nxt in zip(labels, moves(state)):
             if nxt not in tree:
                 tree[nxt] = (state, label)
                 queue.append(nxt)

@@ -67,20 +67,26 @@ def _atom_on_six(atom7: perm.Perm) -> perm.Perm:
     return tuple(atom7[i + 1] - 1 for i in range(6))
 
 
-def relabel_map(letters: dict) -> Relabel:
-    """Search the 720 bijections {pieces 2..7} -> {points 1..6} for those
-    conjugating the three alternating-pair cycles onto the signed
-    generators in letters ({+k: generator k, -k: its inverse}, as
-    words.WordTable.letters). Six bijections qualify for the A6
-    generators; the one with the fewest inverted matches (then least
-    image tuple) is taken, so the choice is deterministic.
-    """
+def _relabel_candidates(letters: dict) -> list:
+    """(inverted matches, bijection, hits) for each of the 720 bijections
+    {pieces 2..7} -> {points 1..6} conjugating the three alternating-pair
+    cycles onto signed generators in letters ({+k: generator k, -k: its
+    inverse}, as words.WordTable.letters), hits naming the generator each
+    cycle goes to. Six bijections qualify for the A6 generators."""
     signed = {p: s for s, p in letters.items()}
     atoms = box.three_cycle_atoms()
     sigmas = [_atom_on_six(atoms[pair]) for pair in _SUBPROBLEM_PAIRS]
-
+    # if b conjugates sigma onto g, then g(b(x)) = b(sigma(x)) for every
+    # point x, so b carries x, sigma(x), sigma^2(x) onto a walk of g: the
+    # screen keeps the bijections doing so for sigma_1's first moved point
+    s1 = sigmas[0]
+    x = next((i for i in range(6) if s1[i] != i), 0)
+    screen = itemgetter(x, s1[x], s1[s1[x]])
+    walks = {(i, g[i], g[g[i]]) for g in letters.values() for i in range(6)}
     candidates = []
     for bimg in permutations(range(6)):
+        if screen(bimg) not in walks:
+            continue
         hits = []
         for sigma in sigmas:
             conj = [0] * 6
@@ -92,6 +98,13 @@ def relabel_map(letters: dict) -> Relabel:
             hits.append(hit)
         else:
             candidates.append((sum(hit < 0 for hit in hits), bimg, hits))
+    return candidates
+
+
+def relabel_map(letters: dict) -> Relabel:
+    """The relabel candidate with the fewest inverted matches (then least
+    image tuple), so the choice is deterministic."""
+    candidates = _relabel_candidates(letters)
     if not candidates:
         raise AssertionError("no bijection conjugates the pair cycles "
                              "onto the generators; move semantics broken")
@@ -164,6 +177,7 @@ class Solver:
                  for s, xy in pairs.items()},
                 rot.target())
         self._setup_tables: dict[str, dict] = {}
+        self._blank_frames: dict[str, list] = {}  # mode -> frames per blank
         self._distances: dict[str, groups.DistanceTable] = {}
         # the A6 residuals in table order, and each one's place keyed by the
         # pieces an input holds in the abstract points' cells
@@ -223,8 +237,13 @@ class Solver:
 
     def _frames(self, b: int, mode: str) -> list[box.Rotation]:
         """Frames of the mode (box.TARGET_FRAMES) usable with the blank
-        in cell b and piece 1 opposite it."""
-        return [r for r in box.target_frames(mode) if r.cells.index(7) == b]
+        in cell b and piece 1 opposite it; listed per blank once a mode."""
+        by_blank = self._blank_frames.get(mode)
+        if by_blank is None:
+            frames = box.target_frames(mode)
+            by_blank = self._blank_frames[mode] = [
+                [r for r in frames if r.cells.index(7) == k] for k in range(8)]
+        return by_blank[b]
 
     def residual_abstract(self, state, rot: box.Rotation) -> perm.Perm:
         """The six unsolved pieces of a set-up state, as a permutation of
@@ -376,12 +395,21 @@ class Solver:
         return summary, rows
 
 
-def _pair_move(pair, m: str):
-    """A move acting on (blank cell, piece-1 cell): the blank toggles the
-    letter's bit, and piece 1 moves only if it is the piece slid."""
+class OptimalSolver(Solver):
+    """A Solver that builds only what solve_optimal reads, the distance
+    tables; it has no tables for the heuristic methods."""
+
+    def __init__(self):
+        self._distances: dict[str, groups.DistanceTable] = {}
+
+
+def _pair_moves(pair) -> list:
+    """The R, U and B moves acting on (blank cell, piece-1 cell): the
+    blank toggles the letter's bit, and piece 1 moves only if it is the
+    piece slid."""
     b, p = pair
-    nb = b ^ box.STEP[m]
-    return nb, (b if p == nb else p)
+    return [(nb, b if p == nb else p)
+            for nb in (b ^ box.STEP[m] for m in box.LETTERS)]
 
 
 def _shortest_pair_words(goals) -> dict:
@@ -393,18 +421,17 @@ def _shortest_pair_words(goals) -> dict:
     would. Moves are involutions, so a BFS out of the goals gives each
     pair's distance to them."""
     dist = {}
-    for pair, (prev, _) in perm.bfs(goals, box.LETTERS, _pair_move).items():
+    for pair, (prev, _) in perm.bfs(goals, box.LETTERS, _pair_moves).items():
         dist[pair] = 0 if prev is None else dist[prev] + 1
     table = {goal: (("", tuple(range(8))),) for goal in goals}
     for pair in sorted(dist.keys() - table.keys(), key=dist.get):
         first = {}  # cells -> first word
-        for m in box.LETTERS:
-            nxt = _pair_move(pair, m)
+        for m, nxt in zip(box.LETTERS, _pair_moves(pair)):
             if dist[nxt] == dist[pair] - 1:
                 # m swaps the blank's cell with nxt's before w acts
-                swap = {pair[0]: nxt[0], nxt[0]: pair[0]}
+                swap = list(range(8))
+                swap[pair[0]], swap[nxt[0]] = nxt[0], pair[0]
                 for w, cells in table[nxt]:
-                    first.setdefault(tuple(swap.get(i, i) for i in cells),
-                                     m + w)
+                    first.setdefault(itemgetter(*cells)(swap), m + w)
         table[pair] = tuple((w, cells) for cells, w in first.items())
     return table

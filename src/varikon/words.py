@@ -4,13 +4,16 @@ sub-problems (alternating groups on 5 and 6 points).
 A table word is a tuple of signed 1-based generator indices: +k means
 the k-th generator, -k its inverse. Products are left-to-right (the
 first letter is applied first). BFS from the identity with the letter
-alphabet ordered +1, -1, +2, -2, ... (perm.bfs tries labels in the
-order given and keeps the first path found) yields, for every element,
-the lexicographically least word among the shortest ones.
+alphabet ordered +1, -1, +2, -2, ... yields, for every element, the
+lexicographically least word among the shortest ones: perm.bfs pairs a
+state's products with the letters in that order and keeps the first
+path found. The products of a state p are one gather per state,
+itemgetter(*p) over the letters' perms, as perm.compose(p, g) is.
 """
 
 from collections import Counter
 from functools import reduce
+from operator import itemgetter
 
 from . import perm
 from .report import Check, Report
@@ -56,9 +59,9 @@ class WordTable:
 
 def build_table(gens) -> WordTable:
     table = WordTable(tuple(gens), {})
-    letters, entries = table.letters, table.entries
-    tree = perm.bfs([perm.identity(len(table.gens[0]))], letters,
-                    lambda p, s: perm.compose(p, letters[s]))
+    entries, images = table.entries, list(table.letters.values())
+    tree = perm.bfs([perm.identity(len(table.gens[0]))], table.letters,
+                    lambda p: map(itemgetter(*p), images))
     for p, (prev, s) in tree.items():  # parents come before children
         entries[p] = () if prev is None else entries[prev] + (s,)
     return table

@@ -317,6 +317,28 @@ def test_heuristic_solve_builds_no_distance_table(capsys):
     assert build.call_count == 0
 
 
+@pytest.mark.parametrize("target", solver.MODES)
+def test_optimal_solve_builds_no_word_table(capsys, mode_tables, box_solver,
+                                            target):
+    # --method optimal reads the mode's distance table alone, and answers
+    # as the full solver does
+    build = mock.Mock(side_effect=AssertionError("word table built"))
+    with mock.patch.object(words, "build_table", build), \
+            mock.patch.object(groups, "build_distance_table",
+                              lambda mode="strict": mode_tables[mode]):
+        code, out, err = run(capsys, "solve", "--random", "--seed", "6",
+                             "--method", "optimal", "--target", target)
+    assert (code, err, build.call_count) == (cli.OK, "", 0)
+    config = box.random_reachable(6)
+    sol = box_solver.solve_optimal(config, target)
+    assert json.loads(out) == {
+        "config": box.format_config(config), "method": "optimal",
+        "moves": sol.moves, "total": sol.total,
+        "phases": [{"label": "optimal", "word": sol.moves,
+                    "length": sol.total}],
+        "target": box.format_config(sol.target)}
+
+
 # Exit-code contract: 0 ok, 1 check failed, 2 input error (returned, or
 # raised as SystemExit by argparse); no other exception escapes.
 _TOKENS = st.one_of(

@@ -131,7 +131,7 @@ def test_depth_is_the_bfs_tree_depth(mode_tables, mode):
     # more than its parent's
     roots = [box.rank(rot.target()) for rot in box.TARGET_FRAMES[mode]]
     rows = list(mode_tables[mode].move_rank.values())
-    tree = perm.bfs(roots, rows, lambda r, row: row[r])
+    tree = perm.bfs(roots, rows, lambda r: [row[r] for row in rows])
     depth = {}
     for r, (prev, _) in tree.items():
         depth[r] = 0 if prev is None else depth[prev] + 1

@@ -26,8 +26,29 @@ def test_compose_applies_left_factor_first():
 
 
 def test_compose_size_mismatch():
-    with pytest.raises(ValueError):
-        perm.compose((0, 1), (0, 1, 2))
+    for a, b in (((0, 1), (0, 1, 2)), ((), (0,)), ((0,), ()),
+                 (tuple(range(6)), (1, 0))):
+        with pytest.raises(ValueError, match="size mismatch"):
+            perm.compose(a, b)
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ((), (), ()),
+    ((0,), (0,), (0,)),
+    (perm.parse_cycles("(1,2,3)(4,5,6)", 6), perm.parse_cycles("(1,2)", 6),
+     perm.parse_cycles("(2,3)(4,5,6)", 6)),
+])
+def test_compose_on_zero_one_and_six_points(a, b, expected):
+    for x, y in ((a, b), (list(a), list(b))):
+        product = perm.compose(x, y)
+        assert product == expected and type(product) is tuple
+
+
+def test_compose_is_the_pointwise_product_on_s4():
+    s4 = list(permutations(range(4)))
+    for a in s4:
+        for b in s4:
+            assert perm.compose(a, b) == tuple(b[x] for x in a)
 
 
 def test_validate_rejects_non_bijections():
@@ -157,6 +178,16 @@ BFS_GRAPH = {
 }
 
 
+def _graph_moves(labels):
+    """BFS_GRAPH's neighbours of a state, in the order of labels."""
+    return lambda s: [BFS_GRAPH[s][m] for m in labels]
+
+
+def _product_moves(gens):
+    """A perm's products with each of gens, in order."""
+    return lambda p: [perm.compose(p, g) for g in gens]
+
+
 @pytest.mark.parametrize("labels, expected", [
     ("xy", [("r1", (None, None)), ("r2", (None, None)), ("a", ("r1", "x")),
             ("b", ("r1", "y")), ("c", ("r2", "y")), ("d", ("b", "x"))]),
@@ -164,13 +195,28 @@ BFS_GRAPH = {
             ("a", ("r1", "x")), ("c", ("r2", "y")), ("d", ("b", "y"))]),
 ])
 def test_bfs_discovery_order_and_first_edge(labels, expected):
-    tree = perm.bfs(["r1", "r2"], labels, lambda s, m: BFS_GRAPH[s][m])
+    tree = perm.bfs(["r1", "r2"], labels, _graph_moves(labels))
     assert list(tree.items()) == expected
+
+
+def test_bfs_pairs_each_neighbour_with_the_label_at_its_position():
+    # moves gives the neighbours as a one-pass iterator, called once per
+    # state; the label list is longer than that, and its tail never shows
+    calls = []
+
+    def moves(state):
+        calls.append(state)
+        return iter({"r": ("p", "q"), "p": ("r", "q"), "q": ()}[state])
+
+    tree = perm.bfs(["r"], ["first", "second", "unused"], moves)
+    assert tree == {"r": (None, None), "p": ("r", "first"),
+                    "q": ("r", "second")}
+    assert calls == ["r", "p", "q"]
 
 
 def test_bfs_tree_edges_are_moves():
     gens = [perm.parse_cycles("(1,2,3)", 5), perm.parse_cycles("(3,4,5)", 5)]
-    tree = perm.bfs([perm.identity(5)], gens, perm.compose)
+    tree = perm.bfs([perm.identity(5)], gens, _product_moves(gens))
     assert set(tree) == perm.all_even(5)
     order = {p: i for i, p in enumerate(tree)}
     for p, (prev, g) in tree.items():
@@ -185,7 +231,7 @@ def _graph_steps(labels):
 
 @pytest.mark.parametrize("labels", ["xy", "yx"])
 def test_orbit_is_the_bfs_reached_set(labels):
-    tree = perm.bfs(["r1", "r2"], labels, lambda s, m: BFS_GRAPH[s][m])
+    tree = perm.bfs(["r1", "r2"], labels, _graph_moves(labels))
     assert perm.orbit(["r1", "r2"], _graph_steps(labels)) == set(tree)
     # roots that reach part of the graph only
     assert perm.orbit(["c"], _graph_steps(labels)) == {"c"}
@@ -196,7 +242,8 @@ def test_orbit_of_the_a5_generators():
     gens = [perm.parse_cycles("(1,2,3)", 5), perm.parse_cycles("(3,4,5)", 5)]
     steps = [partial(map, lambda p, g=g: perm.compose(p, g)) for g in gens]
     reached = perm.orbit([perm.identity(5)], steps)
-    assert reached == set(perm.bfs([perm.identity(5)], gens, perm.compose))
+    assert reached == set(perm.bfs([perm.identity(5)], gens,
+                                   _product_moves(gens)))
     assert reached == perm.generate(gens) == perm.all_even(5)
 
 

@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from itertools import permutations
 from operator import itemgetter
 from unittest import mock
 
@@ -16,6 +17,53 @@ def test_relabeling_is_the_frozen_choice(a6_table):
     rel = solver.relabel_map(a6_table.letters)
     assert rel.beta == (1, 5, 0, 3, 2, 4)
     assert rel.assign == (("U", "B"), ("B", "R"), ("R", "U"))
+
+
+def _unscreened_relabel_candidates(letters):
+    """The relabel search over all 720 bijections with no screen, kept as
+    the reference for solver._relabel_candidates."""
+    signed = {p: s for s, p in letters.items()}
+    atoms = box.three_cycle_atoms()
+    sigmas = [solver._atom_on_six(atoms[pair])
+              for pair in solver._SUBPROBLEM_PAIRS]
+    candidates = []
+    for bimg in permutations(range(6)):
+        hits = []
+        for sigma in sigmas:
+            conj = [0] * 6
+            for i in range(6):
+                conj[bimg[i]] = bimg[sigma[i]]
+            hit = signed.get(tuple(conj))
+            if hit is None or -hit in hits or hit in hits:
+                break
+            hits.append(hit)
+        else:
+            candidates.append((sum(hit < 0 for hit in hits), bimg, hits))
+    return candidates
+
+
+def test_relabel_screen_keeps_every_candidate(a6_table):
+    reference = _unscreened_relabel_candidates(a6_table.letters)
+    assert len(reference) == 6
+    assert solver._relabel_candidates(a6_table.letters) == reference
+    _, bimg, hits = min(reference)
+    rel = solver.relabel_map(a6_table.letters)
+    assert rel.beta == bimg
+    for (x, y), hit in zip(solver._SUBPROBLEM_PAIRS, hits):
+        assert rel.assign[abs(hit) - 1] == ((y, x) if hit < 0 else (x, y))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relabel_screen_on_relabelled_generators(seed):
+    # conjugating the generators by a point bijection q moves the
+    # candidates elsewhere among the 720; the screen must keep them all
+    q = tuple(random.Random(seed).sample(range(6), 6))
+    gens = [perm.compose(perm.compose(perm.inverse(q), g), q)
+            for g in A6_GENS]
+    letters = words.WordTable(tuple(gens), {}).letters
+    reference = _unscreened_relabel_candidates(letters)
+    assert len(reference) == 6
+    assert solver._relabel_candidates(letters) == reference
 
 
 def test_expansion_pairs_realize_the_generators(box_solver, a6_table):
@@ -398,6 +446,20 @@ def test_cold_and_warm_solvers_agree(box_solver):
             for method in ("solve_heuristic_a6", "solve_heuristic_a5"):
                 assert getattr(cold, method)(c, mode) == \
                     getattr(box_solver, method)(c, mode), (mode, method, c)
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_solver_build_and_first_solves_take_few_products(mode):
+    # the word tables gather each state's products at once, so perm.compose
+    # is left to the A5 prefixes and the plans (80 calls, against 2,480
+    # with a product per Cayley-graph edge)
+    compose = mock.Mock(wraps=perm.compose)
+    c = box.unrank(box.N_REACHABLE // 2)
+    with mock.patch.object(perm, "compose", compose):
+        s = solver.Solver()
+        s.solve_heuristic_a6(c, mode)
+        s.solve_heuristic_a5(c, mode)
+    assert compose.call_count <= 150
 
 
 def test_setup_phase_rejects_unknown_mode(box_solver):
