@@ -180,8 +180,8 @@ def target_frames(mode: str) -> tuple:
 # Perfect-hash ranking: rank = blank_cell * BLOCK + the lex index of the
 # piece sequence (cells in order, blank skipped) among the 2,520 sequences
 # of the parity is_reachable fixes for the blank cell. rank, unrank and
-# move_tables read the one pair of lex-ordered lists that _lex_sequences
-# builds, and rank is where an unreachable board is turned away.
+# move_tables index the per-blank lists that _lex_sequences builds, and
+# rank is where an unreachable board is turned away.
 
 
 def block(b: int) -> range:
@@ -190,24 +190,21 @@ def block(b: int) -> range:
 
 
 @cache
-def _seq_parity_for_blank(b: int) -> int:
-    """The parity of block b's piece sequences: 0 exactly when the sorted
-    sequence with the blank in cell b is reachable."""
-    seq = tuple(range(1, 8))
-    return int(not is_reachable(seq[:b] + (BLANK,) + seq[b:]))
-
-
-@cache
 def _lex_sequences():
-    """(seqs, index): seqs[p] the piece sequences of parity p in lex order,
-    index[p] their positions. Sequences 2h and 2h+1 differ in the last
-    two pieces, and their first five Lehmer digits are h's digits in
-    radices 7,6,5,4,3, so the even one is 2h + (digit sum of h) % 2."""
+    """(seqs, index), each by blank cell: seqs[b] block b's piece sequences
+    in lex order, index[b] their positions. A block holds the sequences of
+    one parity, even exactly when the sorted sequence with the blank in
+    cell b is reachable. Sequences 2h and 2h+1 differ in the last two
+    pieces, and their first five Lehmer digits are h's digits in radices
+    7,6,5,4,3, so the even one is 2h + (digit sum of h) % 2."""
     lex = list(permutations(range(1, 8)))
     flips = [sum(d) % 2 for d in product(*map(range, (7, 6, 5, 4, 3)))]
-    seqs = ([lex[2 * h + f] for h, f in enumerate(flips)],
-            [lex[2 * h + 1 - f] for h, f in enumerate(flips)])
-    return seqs, [dict(zip(s, range(BLOCK))) for s in seqs]
+    by_parity = ([lex[2 * h + f] for h, f in enumerate(flips)],
+                 [lex[2 * h + 1 - f] for h, f in enumerate(flips)])
+    index = [dict(zip(s, range(BLOCK))) for s in by_parity]
+    seq = tuple(range(1, 8))
+    odd = [not is_reachable(seq[:b] + (BLANK,) + seq[b:]) for b in range(8)]
+    return [by_parity[p] for p in odd], [index[p] for p in odd]
 
 
 def rank(c) -> int:
@@ -215,7 +212,7 @@ def rank(c) -> int:
         raise ValueError(f"not a board of the box: {c!r}")
     c = tuple(c)
     b = blank_cell(c)
-    h = _lex_sequences()[1][_seq_parity_for_blank(b)].get(c[:b] + c[b + 1:])
+    h = _lex_sequences()[1][b].get(c[:b] + c[b + 1:])
     if h is None:
         raise ValueError(f"unreachable config: {format_config(c)}")
     return b * BLOCK + h
@@ -223,7 +220,7 @@ def rank(c) -> int:
 
 def block_sequences(b: int) -> list:
     """Block b's piece sequences in lex order, rank b * BLOCK + h the h-th."""
-    return _lex_sequences()[0][_seq_parity_for_blank(b)]
+    return _lex_sequences()[0][b]
 
 
 def unrank(r: int):
@@ -239,11 +236,11 @@ def move_tables() -> dict[str, list[int]]:
     is built or ranked: a move from blank cell b to cell j reorders the
     piece sequence by a position map that depends only on (b, j), so the
     slice of block b is one map over its lex-ordered sequences, looked up
-    in the index of the sequences of block j's parity; moves are
-    involutions, so block j's slice is block b's inverse, scattered. Where
-    the map keeps the first five slots (R's moves, and B's between cells 5
-    and 7, which swap the last two slots across the parity lists) it keeps
-    h, by the lex pair rule of _lex_sequences: the slices are the blocks."""
+    in block j's index; moves are involutions, so block j's slice is
+    block b's inverse, scattered. Where the map keeps the first five
+    slots (R's moves, and B's between cells 5 and 7, which swap the last
+    two slots across the two parities) it keeps h, by the lex pair rule
+    of _lex_sequences: the slices are the blocks."""
     index = _lex_sequences()[1]
     tables = {}
     for m in LETTERS:
@@ -258,9 +255,8 @@ def move_tables() -> dict[str, list[int]]:
                 row[b * BLOCK:(b + 1) * BLOCK] = block(j)
                 row[j * BLOCK:(j + 1) * BLOCK] = block(b)
                 continue
-            lookup = index[_seq_parity_for_blank(j)].__getitem__
             row[b * BLOCK:(b + 1) * BLOCK] = image = list(map(
-                (j * BLOCK).__add__, map(lookup, map(
+                (j * BLOCK).__add__, map(index[j].__getitem__, map(
                     itemgetter(*slots), block_sequences(b)))))
             for r, s in zip(block(b), image):
                 row[s] = r

@@ -12,31 +12,13 @@ moves. The usable rotations are box.ROTATIONS (half of the 24), and a
 mode's share of them is its target frames; this constrains where the
 blank may sit after setup, so the setup search deepens past the nominal
 two moves when required.
-Whether a state ends a setup depends only on the blank's cell and piece
-1's cell, and a word moves cells the same way on every config with the
-same blank cell, so each mode's setup candidates are a table, built
-once, of (word, cell map, frame) per (blank, piece-1) pair. Each frame
-is compiled with the solver too: the cells holding the abstract points,
-the physical XYXY of each signed generator, and the frame's target. All
-candidates of a pair read the six cells holding neither the blank nor
-piece 1, so each one's residual is a fixed reordering of the first
-one's, a0: the pair's pattern of reorderings is the solver's one model
-of its candidates' residuals. A pair is grouped on its first solve,
-which checks that every reordering is even. The one setup memo keeps the
-winner per pattern and place of a0 in the A6 table (at most patterns x
-360 choices, filled on use): a setup reads a0 once, and only an empty
-slot scores the candidates, as the pattern's reorderings of a0. The
-winner's residual is its reordering of a0. A list is solved as its
-tuple, and anything but one of the 20,160 reachable configs raises
-ValueError from box.rank, which setup_phase calls only on a non-board
-(box.is_board) or when a0 reads odd.
 
 Both heuristics follow one plan rule: of the shortest prefixes homing
 abstract point 6 (A5: up to two generator applications; A6: only the
-empty one), the one leaving the shortest table word. A plan depends on
-the residual alone, so each method keeps one memo of them (at most 360),
-filled on first use, beside the setup memo. Every answer, optimal too,
-is replayed by one check.
+empty one), the one leaving the shortest table word. Every answer,
+optimal too, is replayed by one check. A list is solved as its tuple,
+and anything but one of the 20,160 reachable configs raises ValueError
+from box.rank.
 """
 
 from collections import namedtuple
@@ -177,7 +159,6 @@ class Solver:
                  for s, xy in pairs.items()},
                 rot.target())
         self._setup_tables: dict[str, dict] = {}
-        self._blank_frames: dict[str, list] = {}  # mode -> frames per blank
         self._distances: dict[str, groups.DistanceTable] = {}
         # the A6 residuals in table order, and each one's place keyed by the
         # pieces an input holds in the abstract points' cells
@@ -185,11 +166,8 @@ class Solver:
         piece_of = [i + 2 for i in piece_at].__getitem__
         self._place = {tuple(map(piece_of, a)): i
                        for i, a in enumerate(self._residuals)}
-        # setup choices: (mode, blank cell, piece-1 cell) -> (candidates,
-        # first candidate's read, reorderings, slots), grouped on first
-        # use; pattern -> (reorderings, slots): per candidate, the
-        # itemgetter taking the first residual to its own, and the
-        # winner's index per place of the first residual
+        # the setup memo (see setup_phase): (mode, blank cell, piece-1
+        # cell) -> _setup_choice, and pattern -> (reorderings, slots)
         self._setup_choices: dict[tuple, tuple] = {}
         self._patterns: dict[tuple, tuple] = {}
         # the shortest A5 prefixes (at most two generator applications) per
@@ -206,8 +184,8 @@ class Solver:
         if len(a5_prefixes) != 6:
             raise AssertionError("piece 6 not homed within two generator "
                                  "applications")
-        # per method: word table, homing prefixes and plans by residual
-        # (filled on use); A6 is the A5 plan rule over the empty prefix
+        # per method: word table, homing prefixes and plan memo (see
+        # _solve_heuristic); A6 is the A5 plan rule over the empty prefix
         self._methods = {
             "heuristic-a6": (self.table6, dict.fromkeys(
                 range(6), [((), perm.identity(6))]), {}),
@@ -235,16 +213,6 @@ class Solver:
 
     # -- setup --------------------------------------------------------
 
-    def _frames(self, b: int, mode: str) -> list[box.Rotation]:
-        """Frames of the mode (box.TARGET_FRAMES) usable with the blank
-        in cell b and piece 1 opposite it; listed per blank once a mode."""
-        by_blank = self._blank_frames.get(mode)
-        if by_blank is None:
-            frames = box.target_frames(mode)
-            by_blank = self._blank_frames[mode] = [
-                [r for r in frames if r.cells.index(7) == k] for k in range(8)]
-        return by_blank[b]
-
     def residual_abstract(self, state, rot: box.Rotation) -> perm.Perm:
         """The six unsolved pieces of a set-up state, as a permutation of
         the abstract points."""
@@ -260,9 +228,18 @@ class Solver:
         then frame order). Returns (word, rotation, residual); the set-up
         state is box.apply_word(c, word).
 
-        The winner is the pair's pattern's slot for the place of a0, the
-        first candidate's residual (see the module docstring), scored
-        only when empty. A non-board goes to box.rank, as an odd a0 does.
+        Whether a state ends a setup depends only on its blank's cell and
+        piece 1's, and a word moves cells alike on every config with the
+        same blank cell, so the candidates are the mode's setup table
+        entries for the input's (blank, piece-1) pair. They all read the
+        six cells holding neither the blank nor piece 1, so each one's
+        residual is a fixed reordering of the first one's, a0: the pair's
+        pattern of reorderings, grouped and checked even on the pair's
+        first solve, is the one model of its candidates' residuals. The
+        memo keeps the winner per pattern and place of a0 in the A6 table
+        (at most patterns x 360 slots, filled on use): a setup reads a0
+        once, and only an empty slot scores the candidates. A non-board
+        goes to box.rank, as an odd a0 does.
         """
         if not box.is_board(c):
             raise _rank_or_fault(c)
@@ -283,8 +260,8 @@ class Solver:
 
     def _setup_choice(self, mode: str, b: int, p: int) -> tuple:
         """The pair's candidates, the first one's read of the input, and
-        the pair's pattern memo: per candidate, the reordering taking the
-        first residual to its own, and the slots."""
+        its pattern's memo: per candidate, the itemgetter taking a0 to its
+        residual, and the winner's index per place of a0."""
         entries = self._setup_words(mode)[b, p]
         sources = [self._frame[rot].read(cells) for _, cells, rot in entries]
         six = set(range(8)) - {b, p}
@@ -312,15 +289,19 @@ class Solver:
     def _setup_words(self, mode: str) -> dict:
         """(blank cell, piece-1 cell) -> (word, cells, frame) for every
         shortest setup word of the mode and every frame admitted where the
-        word leaves the blank, sorted by (word, bit_perm, mask); built once
-        per mode."""
+        word leaves the blank (the mode's frames that rotate that cell to
+        cell 7, the blank's home), sorted by (word, bit_perm, mask); built
+        once per mode."""
         table = self._setup_tables.get(mode)
         if table is None:
-            goals = [(b, b ^ 7) for b in range(8) if self._frames(b, mode)]
+            frames = box.target_frames(mode)
+            by_blank = [[rot for rot in frames if rot.cells.index(7) == b]
+                        for b in range(8)]
+            goals = [(b, b ^ 7) for b in range(8) if by_blank[b]]
             table = self._setup_tables[mode] = {
                 (b, p): sorted(
                     ((w, cells, rot) for w, cells in entries
-                     for rot in self._frames(cells.index(b), mode)),
+                     for rot in by_blank[cells.index(b)]),
                     key=lambda e: (e[0], e[2].bit_perm, e[2].mask))
                 for (b, p), entries in _shortest_pair_words(goals).items()}
         return table
@@ -328,8 +309,10 @@ class Solver:
     # -- heuristics ---------------------------------------------------
 
     def _solve_heuristic(self, c, mode: str, method: str) -> Solution:
-        """Setup, the plan rule's letters for the residual a (memoized),
-        their expansion in the setup's frame, and the replay check."""
+        """Setup, the plan rule's letters for the residual a, their
+        expansion in the setup's frame, and the replay check. A plan
+        depends on the residual alone, so each method keeps one memo of
+        them (at most 360), filled on first use."""
         table, prefixes, plans = self._methods[method]
         setup_word, rot, a = self.setup_phase(c, mode)
         performed = plans.get(a)

@@ -208,11 +208,12 @@ def test_move_tables_map_only_seven_blocks_through_the_index():
 
 def test_block_parity_reads_reachability_once_per_blank_cell():
     # each block's sequence parity is is_reachable on one sorted sequence,
-    # cached, so no number of rank and unrank calls makes more than 8
+    # read in the cached sequence-list build, so no number of rank and
+    # unrank calls makes more than 8
     reachable = mock.Mock(wraps=box.is_reachable)
-    parity = cache(box._seq_parity_for_blank.__wrapped__)
+    sequences = cache(box._lex_sequences.__wrapped__)
     with mock.patch.object(box, "is_reachable", reachable), \
-            mock.patch.object(box, "_seq_parity_for_blank", parity):
+            mock.patch.object(box, "_lex_sequences", sequences):
         for _ in range(3):
             for r in range(0, box.N_REACHABLE, 7):
                 assert box.rank(box.unrank(r)) == r

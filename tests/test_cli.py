@@ -73,6 +73,9 @@ def test_solve_random_defaults_to_seed_zero(capsys):
     _, seeded, _ = run(capsys, "solve", "--random", "--seed", "0",
                        "--method", "a6")
     assert plain == seeded
+    # both solve seed 0's config, not merely the same one
+    assert json.loads(plain)["config"] == \
+        box.format_config(box.random_reachable(0))
 
 
 @pytest.mark.parametrize("seed", ("-3", "+3", "\uff13", "\u0661", "1_0",
@@ -246,17 +249,16 @@ def test_cli_import_pulls_in_no_heavy_modules():
     # every cold `varikon` process pays for what cli imports; -S keeps the
     # interpreter's site hooks out of the check. box's module-level
     # constants (the rotations, the solve targets) must not build the rank
-    # format's tables either, so both of its caches stay empty
+    # format's tables either, so its one cache stays empty
     src = str(Path(varikon.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import varikon.cli; "
             "from varikon import box; "
             "print(sorted({'dataclasses', 'inspect', 'typing'} "
-            "& sys.modules.keys()), box._lex_sequences.cache_info().currsize, "
-            "box._seq_parity_for_blank.cache_info().currsize)")
+            "& sys.modules.keys()), box._lex_sequences.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-S", "-c", code, src],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[] 0 0\n"
+    assert out.stdout == "[] 0\n"
 
 
 def test_verify_builds_each_table_once(distance_table):

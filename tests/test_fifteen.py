@@ -2,6 +2,7 @@
 
 import random
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -171,6 +172,17 @@ def test_three_cycle_family():
     assert thirds == [15, 7, 8, 4, 3, 2, 1, 5, 6, 10, 9, 13, 14]
     assert perm.format_cycles(family[0]) == "(11,12,15)"
     assert perm.format_cycles(family[1]) == "(7,11,12)"  # 11 -> 12 -> 7
+
+
+def test_family_report_fails_a_member_moving_four_points():
+    # n=0 moved to a 4-cycle that also moves n=1's third point, 7: only
+    # n=0's check fails, and the third points still cover their union
+    family = fifteen.three_cycle_family()
+    family[0] = perm.parse_cycles("(11,12,15,7)", 16)
+    with mock.patch.object(fifteen, "three_cycle_family",
+                           return_value=family):
+        rep = fifteen.family_report()
+    assert [c.claim for c in rep.failures()] == ["n=0 cycle"]
 
 
 def test_config_text_round_trip():

@@ -122,6 +122,7 @@ def test_generate_small_groups():
     assert len(s3) == 6
     single = perm.generate([perm.parse_cycles("(1,2,3)", 3)])
     assert len(single) == 3
+    assert perm.generate([(1, 0)]) == {(0, 1), (1, 0)}
 
 
 def test_generate_rejects_bad_input():

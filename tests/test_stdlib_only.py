@@ -1,11 +1,11 @@
-"""The package stays stdlib-only: every absolute import in src/varikon
-names a module of the standard library."""
+"""The package and its tools stay stdlib-only: every absolute import in
+src/varikon and in tools names a module of the standard library."""
 
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "varikon"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _absolute_imports(path):
@@ -16,10 +16,20 @@ def _absolute_imports(path):
             yield node.module
 
 
+def _outside_stdlib(files):
+    return [(path.name, name) for path in files
+            for name in _absolute_imports(path)
+            if name.split(".")[0] not in sys.stdlib_module_names]
+
+
 def test_package_imports_only_the_standard_library():
-    files = sorted(SRC.glob("*.py"))
+    files = sorted((ROOT / "src" / "varikon").glob("*.py"))
     assert {"__init__.py", "cli.py", "solver.py"} <= {p.name for p in files}
-    outside = [(path.name, name) for path in files
-               for name in _absolute_imports(path)
-               if name.split(".")[0] not in sys.stdlib_module_names]
-    assert outside == []
+    assert _outside_stdlib(files) == []
+
+
+def test_tools_import_only_the_standard_library():
+    # the mutation sampler promises to run on the standard library alone
+    files = sorted((ROOT / "tools").glob("*.py"))
+    assert "mutants.py" in {p.name for p in files}
+    assert _outside_stdlib(files) == []

@@ -6,11 +6,11 @@ Usage, from the repository root (stdlib only; pytest must be installed):
 
 The record is printed to stdout, or written to FILE when --out names
 one. No file of the checkout is written unless --out names it: the
-committed MUTANTS.json holds survivor classes made by hand, which a
-rerun does not know, so write a rerun elsewhere and carry the classes
-over by hand. Progress goes to stderr.
+committed MUTANTS*.json records hold survivor classes made by hand,
+which a rerun does not know, so write a rerun elsewhere and carry the
+classes over by hand. Progress goes to stderr.
 
-src, tests, benchmark and the two config files are copied to a
+src, tests, benchmark, tools and the two config files are copied to a
 temporary directory, and every module of the copied package is replaced
 by its ast.unparse text. A control run of tier-1 must pass on that copy
 before any mutant runs. A site is one place where one operator applies:
@@ -23,6 +23,11 @@ copy and runs tier-1 with -x, criterion 8 deselected (it fails by
 design). A mutant is killed when the run fails or times out. Survivors
 are written with "class": null, to be classified by hand as equivalent,
 speed-only (naming the guard that would catch it) or real gap.
+
+A site's line number means something only for the tree it was drawn
+from, so the record names it: "revision" is `git rev-parse HEAD` and
+"dirty" whether `git status --porcelain` lists anything (both null
+where git or the repository is missing).
 """
 
 import argparse
@@ -42,7 +47,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src/varikon")
-COPIED = ("src", "tests", "benchmark", "pyproject.toml", "BENCHMARK.json")
+COPIED = ("src", "tests", "benchmark", "tools", "pyproject.toml",
+          "BENCHMARK.json")
 DESELECT = "tests/test_acceptance.py::test_criterion_08_a6_product_identity"
 MEMORY_LIMIT = 4 << 30  # address space per tier-1 run, in bytes
 
@@ -105,6 +111,18 @@ def mutate(text: str, site: dict) -> str:
     return ast.unparse(tree)
 
 
+def git_tree() -> tuple:
+    """(revision, dirty) of the checkout, or (None, None) without git."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True, check=True).stdout
+    try:
+        revision = git("rev-parse", "HEAD").strip()
+        return revision, git("status", "--porcelain") != ""
+    except (OSError, subprocess.CalledProcessError):
+        return None, None
+
+
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
@@ -141,6 +159,7 @@ def main(argv=None) -> int:
                         help="write the JSON record here, not to stdout")
     args = parser.parse_args(argv)
 
+    revision, dirty = git_tree()
     originals = {p.name: p.read_text()
                  for p in sorted((ROOT / PACKAGE).glob("*.py"))}
     sites = [s for name, text in originals.items()
@@ -187,6 +206,7 @@ def main(argv=None) -> int:
 
     record = {
         "seed": args.seed, "count": args.count, "sites": len(sites),
+        "revision": revision, "dirty": dirty,
         "command": "python -m pytest -x -q -p no:cacheprovider --deselect "
                    + DESELECT,
         "control": control,
