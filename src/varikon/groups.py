@@ -166,7 +166,7 @@ def verify_center_words(table: DistanceTable, center_ranks) -> Report:
         rep.add(f"word {i} image is a half-turn image",
                 images.get(mask) if mask else None, canon,
                 note=f"axis {_AXIS_OF_MASK.get(mask, '?')}")
-        sample = ["".join(rng.choice(box.LETTERS) for _ in range(rng.randrange(1, 25)))
+        sample = ["".join(rng.choices(box.LETTERS, k=rng.randrange(1, 25)))
                   for _ in range(100)]
         rep.add(f"word {i} commutes with 100 random words", True,
                 all(table.commutes(z, v) for v in sample))

@@ -6,7 +6,6 @@ then b". Cycle notation at the I/O boundary is 1-indexed; everything
 internal is 0-indexed.
 """
 
-from collections import deque
 from functools import partial
 from itertools import permutations, product
 from operator import itemgetter
@@ -40,18 +39,24 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def parity(p: Perm) -> int:
-    """0 for even, 1 for odd, via cycle count: (n - #cycles) mod 2."""
+def cycles(p: Perm):
+    """The cycles of p, each a list of points from its least point, in
+    order of least point; a fixed point is a 1-cycle."""
     seen = [False] * len(p)
-    cycles = 0
     for i in range(len(p)):
         if not seen[i]:
-            cycles += 1
+            cycle = []
             j = i
             while not seen[j]:
                 seen[j] = True
+                cycle.append(j)
                 j = p[j]
-    return (len(p) - cycles) % 2
+            yield cycle
+
+
+def parity(p: Perm) -> int:
+    """0 for even, 1 for odd, via cycle count: (n - #cycles) mod 2."""
+    return (len(p) - len(list(cycles(p)))) % 2
 
 
 def parse_cycles(text: str, n: int) -> Perm:
@@ -88,20 +93,8 @@ def format_cycles(p: Perm) -> str:
     """Canonical cycle notation: cycles sorted by smallest element, each
     cycle starting at its smallest element, fixed points omitted,
     identity printed "()"."""
-    seen = [False] * len(p)
-    parts = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j + 1)
-            j = p[j]
-        parts.append("(" + ",".join(str(x) for x in cyc) + ")")
-    return "".join(parts) or "()"
+    return "".join("(" + ",".join(str(x + 1) for x in cycle) + ")"
+                   for cycle in cycles(p) if len(cycle) > 1) or "()"
 
 
 def take(table, keys) -> tuple:
@@ -119,9 +112,9 @@ def bfs(roots, labels, moves) -> dict:
     (parent, label)} in discovery order, each root mapped to (None, None).
     A state records the first edge that reached it."""
     tree = dict.fromkeys(roots, (None, None))
-    queue = deque(tree)
-    while queue:
-        state = queue.popleft()
+    # the queue starts at the roots and is read while it grows
+    queue = list(tree)
+    for state in queue:
         for label, nxt in zip(labels, moves(state)):
             if nxt not in tree:
                 tree[nxt] = (state, label)

@@ -60,10 +60,8 @@ def _relabel_candidates(letters: dict) -> list:
     sigmas = [_atom_on_six(atoms[pair]) for pair in _SUBPROBLEM_PAIRS]
     # if b conjugates sigma onto g, then g(b(x)) = b(sigma(x)) for every
     # point x, so b carries x, sigma(x), sigma^2(x) onto a walk of g: the
-    # screen keeps the bijections doing so for sigma_1's first moved point
-    s1 = sigmas[0]
-    x = next((i for i in range(6) if s1[i] != i), 0)
-    screen = itemgetter(x, s1[x], s1[s1[x]])
+    # screen keeps the bijections doing so along sigma_1's 3-cycle
+    screen = itemgetter(*max(perm.cycles(sigmas[0]), key=len))
     walks = {(i, g[i], g[g[i]]) for g in letters.values() for i in range(6)}
     candidates = []
     for bimg in permutations(range(6)):

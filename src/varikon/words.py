@@ -89,8 +89,11 @@ A6_EXAMPLE_FACTORS = (("(1,2,3)", +1), ("(3,4,5)", -1), ("(5,6,1)", -1),
 
 
 def compose_factors(factors, n: int) -> perm.Perm:
-    """Left-to-right product; factors[::-1] gives the right-to-left one."""
-    ps = [perm.parse_cycles(t, n) if e > 0 else perm.inverse(perm.parse_cycles(t, n))
+    """Left-to-right product; factors[::-1] gives the right-to-left one.
+    An exponent other than +1 or -1 raises ValueError."""
+    if any(e not in (1, -1) for _, e in factors):
+        raise ValueError(f"an exponent is not +1 or -1: {factors}")
+    ps = [perm.parse_cycles(t, n) if e == 1 else perm.inverse(perm.parse_cycles(t, n))
           for t, e in factors]
     return reduce(perm.compose, ps, perm.identity(n))
 

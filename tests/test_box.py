@@ -90,6 +90,17 @@ def test_alternating_pairs_are_three_cycles():
         assert atoms[(y, x)] == perm.inverse(p)  # reversal inverts
 
 
+def test_atoms_report_fails_an_atom_moving_piece_1():
+    # (1,5,6) moves three pieces but not as a 3-cycle fixing piece 1: its
+    # own line fails, and so does the set of cycle names
+    atoms = box.three_cycle_atoms()
+    atoms[("R", "B")] = perm.parse_cycles("(1,5,6)", 7)
+    with mock.patch.object(box, "three_cycle_atoms", return_value=atoms):
+        rep = box.atoms_report()
+    assert [c.claim for c in rep.failures()] == [
+        "RB cycle is a 3-cycle fixing piece 1", "unordered cycles"]
+
+
 def test_phi_examples():
     assert box.phi("RUBUBR") == (0, 0, 0)
     assert box.phi("") == (0, 0, 0)

@@ -52,10 +52,10 @@ def test_compose_is_the_pointwise_product_on_s4():
 
 
 def test_validate_rejects_non_bijections():
-    with pytest.raises(ValueError):
-        perm.validate((0, 0, 1))
-    with pytest.raises(ValueError):
-        perm.validate((0, 3, 1))
+    for p in ((0, 0, 1), (0, 3, 1)):
+        with pytest.raises(ValueError) as err:
+            perm.validate(p)
+        assert str(err.value) == f"not a bijection on 0..2: {p}"
 
 
 def test_validate_needs_at_least_one_point():
@@ -83,6 +83,17 @@ def test_compose_is_associative(a, b, c):
 @given(perms8)
 def test_cycle_text_round_trip(p):
     assert perm.parse_cycles(perm.format_cycles(p), 8) == p
+
+
+def test_cycles_partition_the_points_in_order_of_least_point():
+    for n in range(7):
+        for p in permutations(range(n)):
+            cycles = list(perm.cycles(p))
+            assert sorted(x for c in cycles for x in c) == list(range(n))
+            for c in cycles:
+                assert c[0] == min(c)
+                assert [p[x] for x in c] == c[1:] + c[:1]
+            assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
 
 
 def test_parity_examples():

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from varikon import perm, words
 from varikon.report import Check, Report
 
@@ -89,6 +91,12 @@ def test_both_composition_conventions_of_the_a6_product():
     r2l = words.compose_factors(words.A6_EXAMPLE_FACTORS[::-1], 6)
     assert perm.format_cycles(l2r) == "(2,3,6)"
     assert perm.format_cycles(r2l) == "(2,6,4)"
+
+
+def test_compose_factors_takes_only_unit_exponents():
+    for e in (0, 2):
+        with pytest.raises(ValueError, match="not \\+1 or -1"):
+            words.compose_factors((("(1,2,3)", +1), ("(3,4,5)", e)), 6)
 
 
 def test_report_values():
