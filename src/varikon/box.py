@@ -190,6 +190,14 @@ def block(b: int) -> range:
 
 
 @cache
+def ranks() -> tuple:
+    """Every rank in order: one int object per rank, which the move
+    tables' rows, the dihedral identities and the center screen share in
+    place of making their own."""
+    return tuple(range(N_REACHABLE))
+
+
+@cache
 def _lex_sequences():
     """(seqs, index), each by blank cell: seqs[b] block b's piece sequences
     in lex order, index[b] their positions. A block holds the sequences of
@@ -240,25 +248,28 @@ def move_tables() -> dict[str, list[int]]:
     block b's inverse, scattered. Where the map keeps the first five
     slots (R's moves, and B's between cells 5 and 7, which swap the last
     two slots across the two parities) it keeps h, by the lex pair rule
-    of _lex_sequences: the slices are the blocks."""
+    of _lex_sequences: the slices are the blocks. Every entry is one of
+    ranks()' ints, so a row makes no int of its own."""
     index = _lex_sequences()[1]
+    every = ranks()
     tables = {}
     for m in LETTERS:
         row = tables[m] = [0] * N_REACHABLE
         # each pair of blocks once, from the block b with m's bit clear
         for b, j in ((b, b | STEP[m]) for b in range(8) if not b & STEP[m]):
+            at_b, at_j = (slice(k * BLOCK, (k + 1) * BLOCK) for k in (b, j))
+            src, dst = every[at_b], every[at_j]
             # the piece from cell j now sits in cell b, and the new
             # sequence skips cell j; a cell's old slot skipped cell b
             cells = [j if c == b else c for c in range(8) if c != j]
             slots = [c - (c > b) for c in cells]
             if slots[:5] == [0, 1, 2, 3, 4]:
-                row[b * BLOCK:(b + 1) * BLOCK] = block(j)
-                row[j * BLOCK:(j + 1) * BLOCK] = block(b)
+                row[at_b], row[at_j] = dst, src
                 continue
-            row[b * BLOCK:(b + 1) * BLOCK] = image = list(map(
-                (j * BLOCK).__add__, map(index[j].__getitem__, map(
+            row[at_b] = image = list(map(
+                dst.__getitem__, map(index[j].__getitem__, map(
                     itemgetter(*slots), block_sequences(b)))))
-            for r, s in zip(block(b), image):
+            for r, s in zip(src, image):
                 row[s] = r
     return tables
 
@@ -306,12 +317,11 @@ def dihedral_check(x: str, y: str, table) -> list:
     if x == y or x not in AXIS_BIT or y not in AXIS_BIT:
         raise ValueError(f"need two distinct move letters, got {x!r},{y!r}")
     mx, my = table.move_rank[x], table.move_rank[y]
-    ranks = tuple(range(N_REACHABLE))
     xy = perm.take(my, mx)  # the action of XY as one rank map
     xy3 = perm.take(xy, perm.take(xy, xy))  # (XY)^6 is its square
     return [
-        Check(f"{x}^2 = e", True, perm.take(mx, mx) == ranks),
-        Check(f"({x}{y})^6 = e", True, perm.take(xy3, xy3) == ranks),
+        Check(f"{x}^2 = e", True, perm.take(mx, mx) == ranks()),
+        Check(f"({x}{y})^6 = e", True, perm.take(xy3, xy3) == ranks()),
         # in its inverse-free form XY.X.XY = X (the row is a list)
         Check(f"{x}{y}.{x} = {x}.({x}{y})^-1", True,
               perm.take(xy, perm.take(mx, xy)) == tuple(mx)),

@@ -118,7 +118,7 @@ def center(table: DistanceTable) -> list[int]:
     left_rank[m][r] (DistanceTable.commutes). R's rows screen every rank
     in one C-level pass; U and B are tested on the survivors only."""
     move, left = table.move_rank, table.left_rank
-    ranks = compress(range(box.N_REACHABLE), map(eq, move["R"], left["R"]))
+    ranks = compress(box.ranks(), map(eq, move["R"], left["R"]))
     return [r for r in ranks
             if move["U"][r] == left["U"][r] and move["B"][r] == left["B"][r]]
 

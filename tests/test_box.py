@@ -1,6 +1,7 @@
 """2x2x2 box model: moves, parity predicate, ranking, letter-pair cycles."""
 
 import copy
+import tracemalloc
 from functools import cache, reduce
 from unittest import mock
 
@@ -215,6 +216,47 @@ def test_move_tables_map_only_seven_blocks_through_the_index():
     with mock.patch.object(box, "block_sequences", sequences):
         box.move_tables()
     assert sequences.call_count == 7
+
+
+def test_move_rows_share_the_ranks_ints(distance_table):
+    # ranks above 256 are not interned by Python, so a row that made its
+    # own ints would hold 20,160 new objects; block(b) stays a range, so
+    # a membership test on it is O(1)
+    assert box.ranks() == tuple(range(box.N_REACHABLE))
+    assert all(isinstance(box.block(b), range) for b in range(8))
+    rows = [*box.move_tables().values(), *distance_table.move_rank.values(),
+            *distance_table.left_rank.values()]
+    # each row a permutation of the ranks made of ranks()' own objects
+    ids = sorted(map(id, box.ranks()))
+    assert len(rows) == 9 and all(sorted(map(id, row)) == ids for row in rows)
+
+
+def test_move_tables_retain_no_int_per_rank():
+    # with the shared ranks and the sequence lists warm, one build keeps
+    # three rows of references (3 x 20,160 x 8 bytes, about 0.48 MB); a
+    # row of its own ints would add 28 bytes an entry, 1.7 MB in all
+    box.ranks()
+    box._lex_sequences()
+    tracemalloc.start()
+    try:
+        tables = box.move_tables()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 3 and retained <= 0.6e6
+
+
+def test_dihedral_check_allocates_no_identity(distance_table):
+    # the identities X^2 and (XY)^6 are compared against are ranks(), so
+    # a check's peak is its own gathers, not a fresh tuple of new ints
+    box.ranks()
+    tracemalloc.start()
+    try:
+        checks = box.dihedral_check("R", "U", distance_table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks) and peak <= 1.0e6
 
 
 def test_block_parity_reads_reachability_once_per_blank_cell():
