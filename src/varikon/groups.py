@@ -15,7 +15,6 @@ those appear only where every element involved keeps the blank in one
 place.
 """
 
-import random
 from collections import Counter
 from functools import partial, reduce
 from itertools import compress
@@ -152,7 +151,6 @@ def verify_center_words(table: DistanceTable, center_ranks) -> Report:
                     note="order 2")
 
     word_canons = set()
-    rng = random.Random(0)
     for i, w in enumerate(CENTER_WORDS, start=1):
         z = table.walk(table.root, w)
         canon = box.unrank(z)
@@ -166,10 +164,6 @@ def verify_center_words(table: DistanceTable, center_ranks) -> Report:
         rep.add(f"word {i} image is a half-turn image",
                 images.get(mask) if mask else None, canon,
                 note=f"axis {_AXIS_OF_MASK.get(mask, '?')}")
-        sample = ["".join(rng.choices(box.LETTERS, k=rng.randrange(1, 25)))
-                  for _ in range(100)]
-        rep.add(f"word {i} commutes with 100 random words", True,
-                all(table.commutes(z, v) for v in sample))
 
     rep.add("center words + identity exhaust the center",
             center_canons, word_canons | {box.SOLVED})
@@ -192,8 +186,12 @@ def verify_K_is_A7(kernel) -> Report:
     # K is the blank-home block: piece_perm of each is a block 7 sequence
     piece_perms = {tuple([v - 1 for v in s]) for s in box.block_sequences(7)}
     even = perm.all_even(7)
+    # the sets compare exactly, but the line shows only each size and the
+    # least element of their symmetric difference (None when they are equal)
     rep.add("piece permutations of K = all even 7-point permutations",
-            even, piece_perms)
+            (len(even), None),
+            (len(piece_perms), min(even ^ piece_perms, default=None)),
+            note="size, least element in only one of the sets")
     rep.add("every K element has even piece permutation", True,
             piece_perms <= even)
     rep.add("RBRB element lies in K", True,

@@ -201,6 +201,20 @@ def test_kernel_report(distance_table):
     assert rep.passed, [c.row() for c in rep.failures()]
 
 
+@pytest.mark.parametrize("edit", ["drop an even", "add an odd"])
+def test_kernel_report_names_a_mismatched_permutation(monkeypatch, edit):
+    # the K = A7 line shows sizes and the least element in only one of the
+    # sets; the comparison under it must still be exact
+    even = perm.all_even(7)
+    p = sorted(even)[1260]  # a middle one, not the least by accident
+    stray = p if edit == "drop an even" else (p[1], p[0]) + p[2:]  # odd
+    monkeypatch.setattr(perm, "all_even", lambda n: even ^ {stray})
+    rep = groups.verify_K_is_A7(groups.subgroup_K())
+    [chk] = [c for c in rep.failures() if c.claim.startswith("piece perm")]
+    assert chk.computed == (2520, stray)
+    assert chk.expected == (len(even ^ {stray}), None)
+
+
 def test_kernel_is_normal_on_samples(distance_table):
     kernel = groups.subgroup_K()
     rng = random.Random(11)
