@@ -137,19 +137,12 @@ _AXIS_OF_MASK = {7 ^ (1 << k): m for m, k in box.AXIS_BIT.items()}
 
 
 def verify_center_words(table: DistanceTable, center_ranks) -> Report:
-    """The center words against the computed center, whose images must be
-    the solver's center targets (box.TARGET_FRAMES["center"]): the solved
-    state and the three half-turn images, keyed by their flip masks."""
+    """The center words against the computed center: with the identity
+    they exhaust it, and their images are the solver's other center
+    targets (box.TARGET_FRAMES["center"]), keyed by their flip masks."""
     images = {r.mask: r.target() for r in box.TARGET_FRAMES["center"]}
     rep = Report("center words")
-    center_canons = {box.unrank(z) for z in center_ranks}
     rep.add("|Z|", 4, len(center_ranks))
-    for z in center_ranks:
-        if z != table.root:
-            rep.add(f"order of center element at rank {z}", box.SOLVED,
-                    box.unrank(table.walk(z, table.word_to(z))),
-                    note="order 2")
-
     word_canons = set()
     for i, w in enumerate(CENTER_WORDS, start=1):
         z = table.walk(table.root, w)
@@ -159,16 +152,13 @@ def verify_center_words(table: DistanceTable, center_ranks) -> Report:
                 all(table.commutes(z, m) for m in box.LETTERS))
         rep.add(f"word {i} order 2", box.SOLVED,
                 box.unrank(table.walk(z, w)))
-        rep.add(f"word {i} in computed center", True, z in center_ranks)
         mask = box.blank_cell(canon) ^ 7
         rep.add(f"word {i} image is a half-turn image",
                 images.get(mask) if mask else None, canon,
                 note=f"axis {_AXIS_OF_MASK.get(mask, '?')}")
 
     rep.add("center words + identity exhaust the center",
-            center_canons, word_canons | {box.SOLVED})
-    rep.add("center images are the solved state and its three half-turns",
-            set(images.values()), center_canons)
+            {box.unrank(z) for z in center_ranks}, word_canons | {box.SOLVED})
     return rep
 
 
@@ -192,8 +182,6 @@ def verify_K_is_A7(kernel) -> Report:
             (len(even), None),
             (len(piece_perms), min(even ^ piece_perms, default=None)),
             note="size, least element in only one of the sets")
-    rep.add("every K element has even piece permutation", True,
-            piece_perms <= even)
     rep.add("RBRB element lies in K", True,
             box.rank(box.apply_word(box.SOLVED, "RBRB")) in kernel)
     return rep
@@ -226,8 +214,6 @@ def verify_structure(table: DistanceTable, center_ranks, kernel) -> Report:
     # (d) order bookkeeping |K<R>| * |Z| = |G|
     rep.add("(d) |K<R>| * |Z|", box.N_REACHABLE,
             len(kr_ranks) * len(center_ranks))
-    rep.add("(d) |G| from the regular action", box.N_REACHABLE,
-            len(table.depth))
 
     # (e) the center of K<R> is trivial, which upgrades K<R> from
     # "A7 x Z2 or S7" to S7
@@ -251,8 +237,8 @@ def verify_structure(table: DistanceTable, center_ranks, kernel) -> Report:
                and all(table.commutes(r, gw) for gw in gen_words[1:])]
     rep.add("(e) center of K<R>", [box.SOLVED], central)
 
-    # (f) Z is a Klein four-group
-    rep.add("(f) |Z|", 4, len(center_ranks))
+    # (f) Z is a Klein four-group: (b) and (d) give |Z| = 4, so it is
+    # enough that every nontrivial element has order 2
     rep.add("(f) every nontrivial center element has order 2", True,
             all(table.walk(z, table.word_to(z)) == root
                 for z in center_ranks))

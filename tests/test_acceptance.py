@@ -67,7 +67,8 @@ def test_criterion_05_structure(distance_table, center_elements):
 
 
 def test_criterion_06_dihedral_pairs(distance_table):
-    for x, y in (("R", "U"), ("R", "B"), ("U", "B")):
+    # the pairs verify checks: cyclic, so R^2, U^2 and B^2 each come up
+    for x, y in (("R", "U"), ("U", "B"), ("B", "R")):
         checks = box.dihedral_check(x, y, distance_table)
         assert all(c.passed for c in checks), [c.row() for c in checks]
     print("criterion 6: all three letter pairs generate D6, order 12")

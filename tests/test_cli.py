@@ -195,6 +195,19 @@ def test_verify_text_summary_line(capsys):
     assert out.strip().endswith("checks passed --")
 
 
+def test_verify_claims_are_unique_within_each_report():
+    # a claim checked twice in one report is a claim with two homes; the
+    # dihedral pairs run cyclically, so each letter's involution is one
+    # check of its own
+    claims = {}
+    for rep in cli.build_verify_reports():
+        names = [c.claim for c in rep.checks]
+        assert len(set(names)) == len(names), rep.title
+        claims[rep.title] = names
+    assert {f"{m}^2 = e" for m in box.LETTERS} <= set(
+        claims["dihedral letter pairs"])
+
+
 def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         cli.main(["bogus"])
@@ -203,8 +216,8 @@ def test_unknown_command_exits_nonzero(capsys):
 # sha256 of `varikon verify` stdout, text and JSON. Sets in the report are
 # printed sorted, so the output is the same under any PYTHONHASHSEED.
 VERIFY_SHA256 = {
-    "text": "01d66a4027e86ce81033daf3e20e01e589e786f35e8cfa959df7186cb9e341d8",
-    "json": "869968d8da7db26935ec373ab897e2a467d3048893123283d9b37343e4a5dde7",
+    "text": "6ef930fc47ec90330498fbb145e0a15904f719f8e1ed6eda756368d227685c40",
+    "json": "42d874eecfb99d863635f7f60443d0181e6a7e6373ccbc4539e04a86ae9cb11b",
 }
 
 

@@ -188,6 +188,57 @@ def test_center_words_report(distance_table, center_elements):
     assert rep.passed, [c.row() for c in rep.failures()]
 
 
+def failed_claims(rep):
+    return {c.claim for c in rep.failures()}
+
+
+EXHAUST = "center words + identity exhaust the center"
+
+
+@pytest.mark.parametrize("edit", ["drop", "swap"])
+def test_exhaust_catches_a_center_without_a_word(distance_table,
+                                                 center_elements, edit):
+    # a center missing word 2's rank, alone or with RU (order 6) in its
+    # place, so that |Z| still reads 4, fails the exhaust check: no
+    # per-word "in the computed center" or per-element order check is
+    # needed, and structure's (f) fails on the order-6 element too
+    t = distance_table
+    z = t.walk(t.root, groups.CENTER_WORDS[1])
+    ranks = [r for r in center_elements if r != z]
+    if edit == "swap":
+        ranks.append(t.walk(t.root, "RU"))
+    rep = groups.verify_center_words(t, ranks)
+    assert failed_claims(rep) == {EXHAUST} | ({"|Z|"} if edit == "drop"
+                                              else set())
+    if edit == "swap":
+        rep = groups.verify_structure(t, ranks, groups.subgroup_K())
+        assert ("(f) every nontrivial center element has order 2"
+                in failed_claims(rep))
+
+
+def test_a_center_word_of_order_six_fails_its_order_check(
+        monkeypatch, distance_table, center_elements):
+    monkeypatch.setattr(groups, "CENTER_WORDS",
+                        ("RU",) + groups.CENTER_WORDS[1:])
+    rep = groups.verify_center_words(distance_table, center_elements)
+    assert "word 1 order 2" in failed_claims(rep)
+
+
+@pytest.mark.parametrize("mask", [3, 5, 6])
+def test_a_missing_half_turn_frame_fails_its_word(monkeypatch, distance_table,
+                                                  center_elements, mask):
+    # the center's images are the solved state and the three half-turn
+    # images: exhaust pins the center to the words, and each word's image
+    # is checked against the frame of its flip mask
+    frames = box.TARGET_FRAMES["center"]
+    monkeypatch.setitem(box.TARGET_FRAMES, "center",
+                        tuple(r for r in frames if r.mask != mask))
+    [i] = [i for i, w in enumerate(groups.CENTER_WORDS, start=1)
+           if box.blank_cell(box.apply_word(box.SOLVED, w)) ^ 7 == mask]
+    rep = groups.verify_center_words(distance_table, center_elements)
+    assert failed_claims(rep) == {f"word {i} image is a half-turn image"}
+
+
 def test_half_turn_images():
     images = {r.mask: r.target() for r in box.TARGET_FRAMES["center"]}
     assert images[6] == (7, None, 5, 6, 3, 4, 1, 2)
@@ -215,6 +266,21 @@ def test_kernel_report_names_a_mismatched_permutation(monkeypatch, edit):
     assert chk.expected == (len(even ^ {stray}), None)
 
 
+def test_kernel_report_catches_an_odd_piece_permutation(monkeypatch):
+    # one block 7 sequence with its last two pieces swapped is odd, and the
+    # sizes still match; the exact comparison with all_even fails on it
+    block_sequences = box.block_sequences
+    seqs = list(block_sequences(7))
+    s = seqs[1260]
+    seqs[1260] = s[:5] + (s[6], s[5])
+    monkeypatch.setattr(box, "block_sequences",
+                        lambda b: seqs if b == 7 else block_sequences(b))
+    rep = groups.verify_K_is_A7(groups.subgroup_K())
+    [chk] = rep.failures()
+    assert chk.claim.startswith("piece permutations of K")
+    assert chk.computed[0] == 2520
+
+
 def test_kernel_is_normal_on_samples(distance_table):
     kernel = groups.subgroup_K()
     rng = random.Random(11)
@@ -237,6 +303,18 @@ def test_structure_report(distance_table, center_elements):
     kernel = groups.subgroup_K()
     rep = groups.verify_structure(distance_table, center_elements, kernel)
     assert rep.passed, [c.row() for c in rep.failures()]
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_structure_report_catches_a_center_of_the_wrong_size(
+        distance_table, center_elements, size):
+    # (b) pins |K<R>| at 5040, so (d) fails whenever |Z| is not 4
+    t = distance_table
+    ranks = (center_elements[:3] if size == 3
+             else center_elements + [t.walk(t.root, "RU")])
+    rep = groups.verify_structure(t, ranks, groups.subgroup_K())
+    assert "(d) |K<R>| * |Z|" in failed_claims(rep)
+    assert "(b) |K<R>|" not in failed_claims(rep)
 
 
 def test_structure_report_fails_on_too_few_kernel_generators(

@@ -1,6 +1,9 @@
 """tools/src_lines.py counts code, docstring-or-comment and blank lines."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
@@ -30,3 +33,17 @@ def test_counts_of_a_sample_module():
     # docstring; blank: the docstring's middle line and four more
     assert tool.count(SAMPLE) == {"code": 5, "doc": 5, "blank": 5,
                                   "lines": 14}
+
+
+def test_closed_stdout_prints_no_traceback():
+    # stdout is a pipe whose reader left before the first write, so the
+    # flush raises BrokenPipeError whatever the output's size
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, str(TOOL)], stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == b""

@@ -4,6 +4,8 @@ Usage, from any directory (stdlib only, no options):
 
     python3 tools/src_lines.py
 
+It exits 0, or 1 when its reader closes the pipe early.
+
 Each line of a module is read with tokenize and counted as
 - code: it holds part of a token other than a comment or a docstring;
 - doc: it is not code, and it lies in a docstring or holds a comment
@@ -15,6 +17,7 @@ counts can add up to more than "lines", the module's line count.
 
 import io
 import json
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -52,8 +55,15 @@ def main() -> int:
                for path in sorted(PACKAGE.glob("*.py"))}
     total = {key: sum(m[key] for m in modules.values())
              for key in ("code", "doc", "blank", "lines")}
-    json.dump({"modules": modules, "total": total}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump({"modules": modules, "total": total}, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:  # the reader left: `src_lines.py | head -3`
+        # as varikon's cli.main: point stdout at devnull so the final
+        # flush cannot raise again, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 
