@@ -156,7 +156,6 @@ class Solver:
                 {s: 2 * "".join(map(physical.get, xy))
                  for s, xy in pairs.items()},
                 rot.target())
-        self._setup_tables: dict[str, dict] = {}
         self._distances: dict[str, groups.DistanceTable] = {}
         # the A6 residuals in table order, and each one's place keyed by the
         # pieces an input holds in the abstract points' cells
@@ -164,8 +163,11 @@ class Solver:
         piece_of = [i + 2 for i in piece_at].__getitem__
         self._place = {tuple(map(piece_of, a)): i
                        for i, a in enumerate(self._residuals)}
-        # the setup memo (see setup_phase): (mode, blank cell, piece-1
-        # cell) -> _setup_choice, and pattern -> (reorderings, slots)
+        # the setup memo (see setup_phase), filled on use: mode ->
+        # (admitted frames per blank cell, each pair's distance to a goal,
+        # pair -> its shortest (word, cells)); (mode, blank cell, piece-1
+        # cell) -> _setup_choice; pattern -> (reorderings, slots)
+        self._setup_graphs: dict[str, tuple] = {}
         self._setup_choices: dict[tuple, tuple] = {}
         self._patterns: dict[tuple, tuple] = {}
         # the shortest A5 prefixes (at most two generator applications) per
@@ -228,15 +230,16 @@ class Solver:
 
         Whether a state ends a setup depends only on its blank's cell and
         piece 1's, and a word moves cells alike on every config with the
-        same blank cell, so the candidates are the mode's setup table
-        entries for the input's (blank, piece-1) pair. They all read the
-        six cells holding neither the blank nor piece 1, so each one's
-        residual is a fixed reordering of the first one's, a0: the pair's
-        pattern of reorderings, grouped and checked even on the pair's
-        first solve, is the one model of its candidates' residuals. The
-        memo keeps the winner per pattern and place of a0 in the A6 table
-        (at most patterns x 360 slots, filled on use): a setup reads a0
-        once, and only an empty slot scores the candidates. A non-board
+        same blank cell, so the candidates are the mode's setup words for
+        the input's (blank, piece-1) pair, built on the pair's first solve
+        from the lists of the pairs one move closer to a goal. They all
+        read the six cells holding neither the blank nor piece 1, so each
+        one's residual is a fixed reordering of the first one's, a0: the
+        pair's pattern of reorderings, grouped and checked even on the
+        pair's first solve, is the one model of its candidates' residuals.
+        The memo keeps the winner per pattern and place of a0 in the A6
+        table (at most patterns x 360 slots, filled on use): a setup reads
+        a0 once, and only an empty slot scores the candidates. A non-board
         goes to box.rank, as an odd a0 does.
         """
         if not box.is_board(c):
@@ -260,7 +263,7 @@ class Solver:
         """The pair's candidates, the first one's read of the input, and
         its pattern's memo: per candidate, the itemgetter taking a0 to its
         residual, and the winner's index per place of a0."""
-        entries = self._setup_words(mode)[b, p]
+        entries = self._setup_words(mode, b, p)
         sources = [self._frame[rot].read(cells) for _, cells, rot in entries]
         six = set(range(8)) - {b, p}
         if any(set(src) != six for src in sources):
@@ -284,25 +287,30 @@ class Solver:
         lengths = [len(entries[reorder(a0)]) for reorder in reorders]
         return lengths.index(min(lengths))
 
-    def _setup_words(self, mode: str) -> dict:
-        """(blank cell, piece-1 cell) -> (word, cells, frame) for every
-        shortest setup word of the mode and every frame admitted where the
-        word leaves the blank (the mode's frames that rotate that cell to
-        cell 7, the blank's home), sorted by (word, bit_perm, mask); built
-        once per mode."""
-        table = self._setup_tables.get(mode)
-        if table is None:
+    def _setup_words(self, mode: str, b: int, p: int) -> list:
+        """(word, cells, frame) for every shortest setup word of the mode
+        from blank cell b and piece-1 cell p, and every frame admitted
+        where the word leaves the blank (the mode's frames that rotate that
+        cell to cell 7, the blank's home), sorted by (word, bit_perm,
+        mask). The mode's pair distances come from a BFS out of the goal
+        pairs, those with piece 1 opposite an admitted blank; moves are
+        involutions, so they are the distances to the goals."""
+        graph = self._setup_graphs.get(mode)
+        if graph is None:
             frames = box.target_frames(mode)
             by_blank = [[rot for rot in frames if rot.cells.index(7) == b]
                         for b in range(8)]
             goals = [(b, b ^ 7) for b in range(8) if by_blank[b]]
-            table = self._setup_tables[mode] = {
-                (b, p): sorted(
-                    ((w, cells, rot) for w, cells in entries
-                     for rot in by_blank[cells.index(b)]),
-                    key=lambda e: (e[0], e[2].bit_perm, e[2].mask))
-                for (b, p), entries in _shortest_pair_words(goals).items()}
-        return table
+            dist = {}
+            for pair, (prev, _) in perm.bfs(goals, box.LETTERS,
+                                            _pair_moves).items():
+                dist[pair] = 0 if prev is None else dist[prev] + 1
+            graph = self._setup_graphs[mode] = by_blank, dist, {}
+        by_blank, dist, built = graph
+        return sorted(((w, cells, rot) for w, cells in
+                       _shortest_pair_words((b, p), dist, built)
+                       for rot in by_blank[cells.index(b)]),
+                      key=lambda e: (e[0], e[2].bit_perm, e[2].mask))
 
     # -- heuristics ---------------------------------------------------
 
@@ -393,26 +401,23 @@ def _pair_moves(pair) -> list:
             for nb in (b ^ box.STEP[m] for m in box.LETTERS)]
 
 
-def _shortest_pair_words(goals) -> dict:
-    """Every shortest word from each (blank, piece-1) pair to the goal
-    pairs, R,U,B-lexicographic, as (word, cells): the word takes a config
-    c with that blank cell to tuple(c[i] for i in cells). Of the words
-    with one cell map, which reach one state from every such config (e.g.
-    RBRBRB and BRBRBR), only the first is kept, as a breadth-first search
-    would. Moves are involutions, so a BFS out of the goals gives each
-    pair's distance to them."""
-    dist = {}
-    for pair, (prev, _) in perm.bfs(goals, box.LETTERS, _pair_moves).items():
-        dist[pair] = 0 if prev is None else dist[prev] + 1
-    table = {goal: (("", tuple(range(8))),) for goal in goals}
-    for pair in sorted(dist.keys() - table.keys(), key=dist.get):
-        first = {}  # cells -> first word
+def _shortest_pair_words(pair, dist: dict, built: dict) -> tuple:
+    """Every shortest word from the (blank, piece-1) pair to the pairs at
+    distance 0 in dist, R,U,B-lexicographic, as (word, cells): the word
+    takes a config c with that blank cell to tuple(c[i] for i in cells).
+    Of the words with one cell map, which reach one state from every such
+    config (e.g. RBRBRB and BRBRBR), only the first is kept, as a
+    breadth-first search would. A pair's list is built on first use from
+    the lists of the pairs one move closer, and kept in built."""
+    found = built.get(pair)
+    if found is None:
+        first = {} if dist[pair] else {tuple(range(8)): ""}  # cells -> word
         for m, nxt in zip(box.LETTERS, _pair_moves(pair)):
             if dist[nxt] == dist[pair] - 1:
                 # m swaps the blank's cell with nxt's before w acts
                 swap = list(range(8))
                 swap[pair[0]], swap[nxt[0]] = nxt[0], pair[0]
-                for w, cells in table[nxt]:
+                for w, cells in _shortest_pair_words(nxt, dist, built):
                     first.setdefault(itemgetter(*cells)(swap), m + w)
-        table[pair] = tuple((w, cells) for cells, w in first.items())
-    return table
+        found = built[pair] = tuple((w, cells) for cells, w in first.items())
+    return found

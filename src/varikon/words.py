@@ -13,6 +13,7 @@ itemgetter(*p) over the letters' perms, as perm.compose(p, g) is.
 
 from collections import Counter
 from functools import reduce
+from itertools import combinations
 from operator import itemgetter
 
 from . import perm
@@ -88,33 +89,63 @@ A6_EXAMPLE_FACTORS = (("(1,2,3)", +1), ("(3,4,5)", -1), ("(5,6,1)", -1),
                       ("(3,4,5)", +1), ("(1,2,3)", -1))
 
 
-def compose_factors(factors, n: int) -> perm.Perm:
-    """Left-to-right product; factors[::-1] gives the right-to-left one.
+def _factor_perms(factors, n: int) -> list:
+    """Each factor's perm, raised to its exponent, its cycle parsed once.
     An exponent other than +1 or -1 raises ValueError."""
     if any(e not in (1, -1) for _, e in factors):
         raise ValueError(f"an exponent is not +1 or -1: {factors}")
-    ps = [perm.parse_cycles(t, n) if e == 1 else perm.inverse(perm.parse_cycles(t, n))
-          for t, e in factors]
+    return [perm.parse_cycles(t, n) if e == 1 else perm.inverse(perm.parse_cycles(t, n))
+            for t, e in factors]
+
+
+def _product(ps, n: int) -> perm.Perm:
     return reduce(perm.compose, ps, perm.identity(n))
+
+
+def compose_factors(factors, n: int) -> perm.Perm:
+    """Left-to-right product; factors[::-1] gives the right-to-left one.
+    An exponent other than +1 or -1 raises ValueError."""
+    return _product(_factor_perms(factors, n), n)
+
+
+def _single_edit_repairs(ps, expected: perm.Perm, n: int) -> list:
+    """Each single edit of the factor perms ps, one exponent flipped or two
+    factors swapped, whose product is expected, named with the order it
+    holds in: left-to-right repairs first, then right-to-left, flips before
+    swaps, factors numbered from 1."""
+    edits = [(f"flip factor {i + 1}'s exponent",
+              ps[:i] + [perm.inverse(q)] + ps[i + 1:])
+             for i, q in enumerate(ps)]
+    for i, j in combinations(range(len(ps)), 2):
+        swapped = list(ps)
+        swapped[i], swapped[j] = ps[j], ps[i]
+        edits.append((f"swap factors {i + 1} and {j + 1}", swapped))
+    return [f"{edit} ({order})"
+            for order, step in (("left-to-right", 1), ("right-to-left", -1))
+            for edit, edited in edits if _product(edited[::step], n) == expected]
 
 
 def check_factorization(name: str, factors, expected_text: str, n: int):
     """Compose a quoted factorization under the left-to-right convention;
     if it misses, retry right-to-left and report which convention (if
-    either) validates."""
+    either) validates. Where neither does, the note names the single-edit
+    repairs (see _single_edit_repairs)."""
     expected = perm.parse_cycles(expected_text, n)
-    l2r = compose_factors(factors, n)
+    ps = _factor_perms(factors, n)
+    l2r = _product(ps, n)
     if l2r == expected:
         return Check(name, expected_text, perm.format_cycles(l2r),
                      note="validates left-to-right")
-    r2l = compose_factors(factors[::-1], n)
+    r2l = _product(ps[::-1], n)
     if r2l == expected:
         return Check(name, expected_text, perm.format_cycles(r2l),
                      note="validates right-to-left only")
+    repairs = _single_edit_repairs(ps, expected, n)
     return Check(name, expected_text, perm.format_cycles(l2r),
                  note=f"neither convention: left-to-right gives "
                       f"{perm.format_cycles(l2r)}, right-to-left gives "
-                      f"{perm.format_cycles(r2l)}")
+                      f"{perm.format_cycles(r2l)}; single-edit repairs: "
+                      f"{', '.join(repairs) or 'none'}")
 
 
 def a5_report() -> Report:

@@ -216,8 +216,8 @@ def test_unknown_command_exits_nonzero(capsys):
 # sha256 of `varikon verify` stdout, text and JSON. Sets in the report are
 # printed sorted, so the output is the same under any PYTHONHASHSEED.
 VERIFY_SHA256 = {
-    "text": "6ef930fc47ec90330498fbb145e0a15904f719f8e1ed6eda756368d227685c40",
-    "json": "42d874eecfb99d863635f7f60443d0181e6a7e6373ccbc4539e04a86ae9cb11b",
+    "text": "b91eaed8c5543bb22882923b973abc2081b522991c4b7b1c9292d98831d3a417",
+    "json": "9b2b6de9ed7c2f6ffe484d5a4db488143c9e7bf369838bc29ce4559919c2073c",
 }
 
 

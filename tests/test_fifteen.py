@@ -185,6 +185,18 @@ def test_family_report_fails_a_member_moving_four_points():
     assert [c.claim for c in rep.failures()] == ["n=0 cycle"]
 
 
+@pytest.mark.parametrize("member", ("(7,12,15)", "(7,11,15)"))
+def test_family_report_fails_a_3_cycle_missing_11_or_12(member):
+    # n=0 moved to a 3-cycle that keeps 11 or 12 fixed: its third points
+    # are still covered, so only n=0's check can fail
+    family = fifteen.three_cycle_family()
+    family[0] = perm.parse_cycles(member, 16)
+    with mock.patch.object(fifteen, "three_cycle_family",
+                           return_value=family):
+        rep = fifteen.family_report()
+    assert [c.claim for c in rep.failures()] == ["n=0 cycle"]
+
+
 def test_config_text_round_trip():
     text = "1,2,3,4,5,6,7,8,9,10,11,12,13,15,14,_"
     assert fifteen.format_config(fifteen.parse_config(text)) == text

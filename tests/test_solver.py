@@ -185,7 +185,7 @@ def test_odd_reordering_of_a_later_candidate_is_a_fault():
     # first residual oddly, and the pair's first solve reports it
     s = solver.Solver()
     (b, p), entries = next(
-        (pair, entries) for pair, entries in s._setup_words("rotation").items()
+        (pair, entries) for pair, entries in _setup_table(s, "rotation").items()
         if any(rot != entries[0][2] for _, _, rot in entries))
     rot = next(rot for _, _, rot in entries if rot != entries[0][2])
     cells = s._frame[rot].read.__reduce__()[1]
@@ -241,6 +241,80 @@ def _admissible_frames(b, mode):
     return [rot for rot in box.target_frames(mode) if rot.cells.index(7) == b]
 
 
+PAIRS = [(b, p) for b in range(8) for p in range(8) if b != p]
+
+
+def _setup_table(s, mode):
+    """(blank cell, piece-1 cell) -> the solver's setup candidates, for
+    all 56 pairs."""
+    return {pair: s._setup_words(mode, *pair) for pair in PAIRS}
+
+
+def _setup_goals(mode):
+    """The goal pairs of a mode: piece 1 opposite an admitted blank."""
+    return [(b, b ^ 7) for b in range(8) if _admissible_frames(b, mode)]
+
+
+def _pair_distances(goals):
+    dist = {}
+    for pair, (prev, _) in perm.bfs(goals, box.LETTERS,
+                                    solver._pair_moves).items():
+        dist[pair] = 0 if prev is None else dist[prev] + 1
+    return dist
+
+
+def _layered_pair_words(goals):
+    """Every pair's shortest words to the goals, built a distance layer at
+    a time over all 56 pairs, kept as the reference for the solver's
+    per-pair build."""
+    dist = _pair_distances(goals)
+    table = {goal: (("", tuple(range(8))),) for goal in goals}
+    for pair in sorted(dist.keys() - table.keys(), key=dist.get):
+        first = {}  # cells -> first word
+        for m, nxt in zip(box.LETTERS, solver._pair_moves(pair)):
+            if dist[nxt] == dist[pair] - 1:
+                # m swaps the blank's cell with nxt's before w acts
+                swap = list(range(8))
+                swap[pair[0]], swap[nxt[0]] = nxt[0], pair[0]
+                for w, cells in table[nxt]:
+                    first.setdefault(itemgetter(*cells)(swap), m + w)
+        table[pair] = tuple((w, cells) for cells, w in first.items())
+    return table
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_setup_words_match_the_layered_build(mode):
+    s = solver.Solver()
+    reference = _layered_pair_words(_setup_goals(mode))
+    assert sorted(reference) == PAIRS
+    for b, p in PAIRS:
+        expected = sorted(
+            ((w, cells, rot) for w, cells in reference[b, p]
+             for rot in _admissible_frames(cells.index(b), mode)),
+            key=lambda e: (e[0], e[2].bit_perm, e[2].mask))
+        assert s._setup_words(mode, b, p) == expected
+
+
+@pytest.mark.parametrize("mode,built", (("strict", 15), ("rotation", 2)))
+def test_first_solve_builds_only_its_pairs_words(mode, built):
+    # a fresh solver builds setup words for the input's pair and the pairs
+    # its shortest words pass through, each one move closer to a goal
+    s = solver.Solver()
+    c = box.parse_config("_,5,3,1,4,7,6,2")
+    assert (box.blank_cell(c), c.index(1)) == (0, 3)
+    s.solve_heuristic_a6(c, mode)
+    s.solve_heuristic_a5(c, mode)
+    dist = _pair_distances(_setup_goals(mode))
+    closer, queue = {(0, 3)}, [(0, 3)]
+    for pair in queue:
+        for nxt in solver._pair_moves(pair):
+            if dist[nxt] == dist[pair] - 1 and nxt not in closer:
+                closer.add(nxt)
+                queue.append(nxt)
+    assert s._setup_graphs[mode][2].keys() == closer
+    assert len(closer) == built < len(PAIRS)
+
+
 def _reference_setup(s, c, mode):
     """Breadth-first setup search over whole configs, kept as the oracle
     for the (blank, piece-1) word table behind `Solver.setup_phase`; the
@@ -277,7 +351,7 @@ def _reference_setup(s, c, mode):
     ("rotation", 480, 160, 36, 5)))
 def test_setup_word_table(box_solver, mode, total, n_words, per_pair,
                           depth):
-    table = box_solver._setup_words(mode)
+    table = _setup_table(box_solver, mode)
     assert len(table) == 56
     assert sum(len(entries) for entries in table.values()) == total
     assert sum(len({w for w, _, _ in entries})
@@ -297,7 +371,7 @@ def test_setup_word_table(box_solver, mode, total, n_words, per_pair,
 @pytest.mark.parametrize("mode", solver.MODES)
 def test_setup_cell_maps_replay_their_words(box_solver, mode):
     rng = random.Random(35)
-    table = box_solver._setup_words(mode)
+    table = _setup_table(box_solver, mode)
     pairs = set()
     for _ in range(600):
         c = box.unrank(rng.randrange(box.N_REACHABLE))
@@ -322,13 +396,13 @@ def test_setup_reorderings_give_each_candidates_residual(box_solver, mode):
     for r in range(box.N_REACHABLE):
         c = box.unrank(r)
         pools.setdefault((box.blank_cell(c), c.index(1)), []).append(c)
-    table = box_solver._setup_words(mode)
+    table = _setup_table(box_solver, mode)
     assert pools.keys() == table.keys()
     for pair, candidates in table.items():
         sample = rng.sample(pools[pair], 10)
         box_solver.setup_phase(sample[0], mode)
         entries, read0, reorders, _ = box_solver._setup_choices[(mode,) + pair]
-        assert entries is candidates and len(reorders) == len(entries)
+        assert entries == candidates and len(reorders) == len(entries)
         for c in sample:
             a0 = box_solver._residuals[box_solver._place[read0(c)]]
             for (w, _, rot), reorder in zip(entries, reorders):

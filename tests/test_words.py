@@ -1,6 +1,7 @@
 """Shortest-word tables over 3-cycle generators and the factored identities."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -84,6 +85,36 @@ def test_factored_identity_for_a6_mismatch_is_reported():
     assert not chk.passed
     assert "(2,3,6)" in chk.note
     assert "(2,6,4)" in chk.note
+
+
+def test_a6_mismatch_names_its_two_single_edit_repairs():
+    # of the five exponent flips and ten swaps, under either order, exactly
+    # two edits compose the quoted factors to (2,4,6)
+    repairs = ["swap factors 1 and 2 (left-to-right)",
+               "flip factor 3's exponent (right-to-left)"]
+    ps = words._factor_perms(words.A6_EXAMPLE_FACTORS, 6)
+    assert words._single_edit_repairs(
+        ps, perm.parse_cycles(words.A6_EXAMPLE_ELEMENT, 6), 6) == repairs
+    chk = words.check_factorization(
+        "factored identity for (2,4,6)",
+        words.A6_EXAMPLE_FACTORS, words.A6_EXAMPLE_ELEMENT, 6)
+    assert chk.note.endswith("; single-edit repairs: " + ", ".join(repairs))
+
+
+def test_a5_factorization_runs_no_repair_search():
+    with mock.patch.object(words, "_single_edit_repairs") as search:
+        chk = words.check_factorization(
+            "factored identity for (1,2)(4,5)",
+            words.A5_MAX_FACTORS, words.A5_MAX_ELEMENT, 5)
+    assert chk.passed
+    search.assert_not_called()
+
+
+def test_a_factorization_with_no_single_edit_repair_says_none():
+    chk = words.check_factorization("one factor", (("(1,2,3)", +1),),
+                                    "(1,2)(4,5)", 5)
+    assert not chk.passed
+    assert chk.note.endswith("; single-edit repairs: none")
 
 
 def test_both_composition_conventions_of_the_a6_product():
