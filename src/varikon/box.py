@@ -16,6 +16,7 @@ from collections import namedtuple
 from functools import cache, partial
 from itertools import permutations, product
 from operator import itemgetter
+from types import MappingProxyType
 from . import perm
 from .report import Check, Report
 
@@ -239,8 +240,11 @@ def unrank(r: int):
     return seq[:b] + (BLANK,) + seq[b:]
 
 
-def move_tables() -> dict[str, list[int]]:
-    """{letter: row}, row[r] the rank one move away from rank r. No config
+@cache
+def move_tables() -> MappingProxyType:
+    """{letter: row}, row[r] the rank one move away from rank r, built
+    once per process on first use: a read-only mapping of tuples that
+    every DistanceTable shares. No config
     is built or ranked: a move from blank cell b to cell j reorders the
     piece sequence by a position map that depends only on (b, j), so the
     slice of block b is one map over its lex-ordered sequences, looked up
@@ -271,7 +275,7 @@ def move_tables() -> dict[str, list[int]]:
                     itemgetter(*slots), block_sequences(b)))))
             for r, s in zip(src, image):
                 row[s] = r
-    return tables
+    return MappingProxyType({m: tuple(row) for m, row in tables.items()})
 
 
 def random_reachable(seed: int):
@@ -322,9 +326,9 @@ def dihedral_check(x: str, y: str, table) -> list:
     return [
         Check(f"{x}^2 = e", True, perm.take(mx, mx) == ranks()),
         Check(f"({x}{y})^6 = e", True, perm.take(xy3, xy3) == ranks()),
-        # in its inverse-free form XY.X.XY = X (the row is a list)
+        # in its inverse-free form XY.X.XY = X
         Check(f"{x}{y}.{x} = {x}.({x}{y})^-1", True,
-              perm.take(xy, perm.take(mx, xy)) == tuple(mx)),
+              perm.take(xy, perm.take(mx, xy)) == mx),
         Check(f"|<{x},{y}>| = 12", 12, subgroup_order(x + y)),
     ]
 

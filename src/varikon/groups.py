@@ -34,7 +34,8 @@ def _rows_step(rows):
 class DistanceTable:
     """Shortest word lengths over {R,U,B} to a mode's nearest target, by
     rank: a breadth-first fill over the ranks from box.TARGET_FRAMES[mode].
-    Only the strict table, rooted at the identity, has left_rank."""
+    move_rank is box.move_tables(), the rows every table shares. Only the
+    strict table, rooted at the identity, has left_rank."""
 
     def __init__(self, mode: str = "strict"):
         # the queue starts at the roots and is read while it grows

@@ -1,5 +1,6 @@
 """2x2x2 box model: moves, parity predicate, ranking, letter-pair cycles."""
 
+import contextlib
 import copy
 import tracemalloc
 from functools import cache, reduce
@@ -199,11 +200,12 @@ def test_rank_order_is_blank_major_then_lex(reachable_set):
 
 
 def test_lex_sequences_are_built_once():
-    # move tables, rank and unrank share one build of the sequence lists
+    # move tables, rank and unrank share one build of the sequence lists;
+    # the move tables are cached too, so each call here is a real build
     build = mock.Mock(wraps=box._lex_sequences.__wrapped__)
     with mock.patch.object(box, "_lex_sequences", cache(build)):
-        box.move_tables()
-        box.move_tables()
+        box.move_tables.__wrapped__()
+        box.move_tables.__wrapped__()
         assert box.unrank(box.rank(box.SOLVED)) == box.SOLVED
     assert build.call_count == 1
 
@@ -214,7 +216,7 @@ def test_move_tables_map_only_seven_blocks_through_the_index():
     # the sequences of 0 blocks for R, 3 for B and 4 for U
     sequences = mock.Mock(wraps=box.block_sequences)
     with mock.patch.object(box, "block_sequences", sequences):
-        box.move_tables()
+        box.move_tables.__wrapped__()
     assert sequences.call_count == 7
 
 
@@ -239,11 +241,26 @@ def test_move_tables_retain_no_int_per_rank():
     box._lex_sequences()
     tracemalloc.start()
     try:
-        tables = box.move_tables()
+        tables = box.move_tables.__wrapped__()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(tables) == 3 and retained <= 0.6e6
+
+
+def test_move_rows_are_read_only():
+    # the rows are built once per process and shared, so no caller may
+    # change what a later one gets: a row refuses item assignment, and an
+    # edit of the returned mapping leaves the next call's rows as they were
+    tables = box.move_tables()
+    rows = dict(tables)
+    with pytest.raises(TypeError):
+        tables["R"][0] = tables["R"][0]
+    with contextlib.suppress(TypeError):
+        tables["R"] = list(box.ranks())
+    again = box.move_tables()
+    assert list(again) == list(box.LETTERS)
+    assert all(again[m] is rows[m] for m in box.LETTERS)
 
 
 def test_dihedral_check_allocates_no_identity(distance_table):
@@ -315,7 +332,7 @@ def test_dihedral_checks_catch_a_broken_row(distance_table, fault):
         row[5] = row[12780]
     else:
         row[5], row[12780] = row[12780], row[5]
-    broken.move_rank = {**distance_table.move_rank, letter: row}
+    broken.move_rank = {**distance_table.move_rank, letter: tuple(row)}
     passed = {c.claim: c.passed for c in box.dihedral_check("R", "U", broken)}
     assert passed == {"R^2 = e": fault == "U", "(RU)^6 = e": False,
                       "RU.R = R.(RU)^-1": False, "|<R,U>| = 12": True}

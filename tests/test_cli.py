@@ -266,17 +266,19 @@ def test_cli_import_pulls_in_no_heavy_modules():
     # every cold `varikon` process pays for what cli imports; -S keeps the
     # interpreter's site hooks out of the check. box's module-level
     # constants (the rotations, the solve targets) must not build the rank
-    # format's tables or its shared ranks either, so both caches stay empty
+    # format's tables, its shared ranks or the move rows either, so the
+    # three caches stay empty
     src = str(Path(varikon.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import varikon.cli; "
             "from varikon import box; "
             "print(sorted({'dataclasses', 'inspect', 'typing'} "
             "& sys.modules.keys()), box._lex_sequences.cache_info().currsize, "
-            "box.ranks.cache_info().currsize)")
+            "box.ranks.cache_info().currsize, "
+            "box.move_tables.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-S", "-c", code, src],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[] 0 0\n"
+    assert out.stdout == "[] 0 0 0\n"
 
 
 def test_verify_builds_each_table_once(distance_table):

@@ -2,10 +2,14 @@
 
 import copy
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from varikon import box, groups, perm
+import varikon
+from varikon import box, groups, perm, solver
 
 FROZEN_HISTOGRAM = [
     (0, 1), (1, 3), (2, 6), (3, 12), (4, 24), (5, 48), (6, 93), (7, 180),
@@ -102,9 +106,9 @@ def test_neighboring_depths_differ_by_one(distance_table):
 def test_move_tables_match_tuple_moves(distance_table):
     # the tuple route the tables are built without: unrank, move, rank
     for m in box.LETTERS:
-        assert distance_table.move_rank[m] == [
+        assert distance_table.move_rank[m] == tuple(
             box.rank(box.apply_move(box.unrank(r), m))
-            for r in range(box.N_REACHABLE)]
+            for r in range(box.N_REACHABLE))
     rng = random.Random(5)
     for r in rng.sample(range(box.N_REACHABLE), 2000):
         for m in box.LETTERS:
@@ -137,6 +141,34 @@ def test_depth_is_the_bfs_tree_depth(mode_tables, mode):
         depth[r] = 0 if prev is None else depth[prev] + 1
     assert mode_tables[mode].depth == [depth[r]
                                        for r in range(box.N_REACHABLE)]
+
+
+def test_every_distance_table_shares_the_move_rows(mode_tables, box_solver):
+    # the three modes' tables and a solver's hold the very row objects
+    # box.move_tables() returns, not copies of them
+    shared = box.move_tables()
+    tables = [*mode_tables.values(), *map(box_solver.distance, solver.MODES)]
+    assert all(t.move_rank[m] is shared[m]
+               for t in tables for m in box.LETTERS)
+
+
+def test_move_tables_are_built_once_per_process():
+    # every route to a distance table in one process reads one build of
+    # the rows: the modes' tables, a solver's, an optimal solver's and a
+    # verify pass
+    src = str(Path(varikon.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from varikon import box, cli, groups, solver; "
+            "[groups.build_distance_table(m) for m in solver.MODES]; "
+            "solver.Solver().distance('center'); "
+            "solver.OptimalSolver().solve_optimal(box.unrank(7), 'rotation'); "
+            "cli.build_verify_reports(); "
+            "info = box.move_tables.cache_info(); "
+            "print(info.misses, info.hits)")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "1 5\n"
 
 
 def test_unreached_ranks_are_refused(monkeypatch):

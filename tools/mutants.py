@@ -3,6 +3,7 @@
 Usage, from the repository root (stdlib only; pytest must be installed):
 
     python3 tools/mutants.py [--seed 26] [--count 40] [--out FILE]
+                             [--since REV]
 
 The record is printed to stdout, or written to FILE when --out names
 one. No file of the checkout is written unless --out names it: the
@@ -18,7 +19,12 @@ before any mutant runs. A site is one place where one operator applies:
   partner (SWAPS);
 - an integer constant plus one;
 - a `not` dropped.
-The seed draws `count` of the sites. Each mutant changes one site in the
+The seed draws `count` of the sites. With --since REV it draws only the
+sites on the src/varikon lines that `git diff -U0 REV` adds or changes
+(the working tree against REV as `git diff` sees it: edits not yet
+committed count, untracked files do not), at most `count` of them, so a
+change's own sites run in minutes; the record's "since" is REV (null
+without it). Each mutant changes one site in the
 copy and runs tier-1 with -x, criterion 8 deselected (it fails by
 design). A mutant is killed when the run fails or times out. Survivors
 are written with "class": null, to be classified by hand as equivalent,
@@ -47,6 +53,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src/varikon")
+# the new-file line range of a -U0 hunk: start, and a count that is 1
+# when left out and 0 when the hunk only deletes
+HUNK = re.compile(r"@@ -\S+ \+(\d+)(?:,(\d+))? @@")
 COPIED = ("src", "tests", "benchmark", "tools", "pyproject.toml",
           "BENCHMARK.json")
 DESELECT = "tests/test_acceptance.py::test_criterion_08_a6_product_identity"
@@ -111,11 +120,28 @@ def mutate(text: str, site: dict) -> str:
     return ast.unparse(tree)
 
 
+def changed_lines(diff: str) -> dict[str, set[int]]:
+    """{module file name: line numbers} of the package lines, numbered in
+    the new tree, that a `git diff -U0 --no-prefix` adds or changes."""
+    touched, name = {}, None
+    for line in diff.splitlines():
+        if line.startswith("+++ "):
+            path = Path(line[4:])
+            name = path.name if path.parent == PACKAGE else None
+        elif name and (hunk := HUNK.match(line)):
+            start, count = int(hunk[1]), int(hunk[2] or 1)
+            touched.setdefault(name, set()).update(range(start,
+                                                         start + count))
+    return touched
+
+
+def git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def git_tree() -> tuple:
     """(revision, dirty) of the checkout, or (None, None) without git."""
-    def git(*args):
-        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                              text=True, check=True).stdout
     try:
         revision = git("rev-parse", "HEAD").strip()
         return revision, git("status", "--porcelain") != ""
@@ -157,6 +183,9 @@ def main(argv=None) -> int:
     parser.add_argument("--count", type=int, default=40)
     parser.add_argument("--out", type=Path,
                         help="write the JSON record here, not to stdout")
+    parser.add_argument("--since", metavar="REV",
+                        help="draw only the sites on package lines that "
+                             "`git diff -U0 REV` adds or changes")
     args = parser.parse_args(argv)
 
     revision, dirty = git_tree()
@@ -164,8 +193,17 @@ def main(argv=None) -> int:
                  for p in sorted((ROOT / PACKAGE).glob("*.py"))}
     sites = [s for name, text in originals.items()
              for s in sites_of(name, text)]
-    chosen = sorted(random.Random(args.seed).sample(sites, args.count),
-                    key=sites.index)
+    if args.since is not None:
+        try:
+            touched = changed_lines(git("diff", "-U0", "--no-color",
+                                        "--no-prefix", args.since, "--",
+                                        str(PACKAGE)))
+        except (OSError, subprocess.CalledProcessError) as exc:
+            parser.error(f"git diff against {args.since!r} failed: {exc}")
+        sites = [s for s in sites if int(s["site"].split(":")[1])
+                 in touched.get(s["site"].split(":")[0], ())]
+    chosen = sorted(random.Random(args.seed).sample(
+        sites, min(args.count, len(sites))), key=sites.index)
     with tempfile.TemporaryDirectory(prefix="varikon-mutants-") as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -205,8 +243,8 @@ def main(argv=None) -> int:
                   f"{result} ({seconds:.1f} s)", file=sys.stderr)
 
     record = {
-        "seed": args.seed, "count": args.count, "sites": len(sites),
-        "revision": revision, "dirty": dirty,
+        "seed": args.seed, "count": len(chosen), "sites": len(sites),
+        "since": args.since, "revision": revision, "dirty": dirty,
         "command": "python -m pytest -x -q -p no:cacheprovider --deselect "
                    + DESELECT,
         "control": control,
