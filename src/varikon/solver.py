@@ -60,13 +60,14 @@ def _relabel_candidates(letters: dict) -> list:
     sigmas = [_atom_on_six(atoms[pair]) for pair in _SUBPROBLEM_PAIRS]
     # if b conjugates sigma onto g, then g(b(x)) = b(sigma(x)) for every
     # point x, so b carries x, sigma(x), sigma^2(x) onto a walk of g: the
-    # screen keeps the bijections doing so along sigma_1's 3-cycle
-    screen = itemgetter(*max(perm.cycles(sigmas[0]), key=len))
+    # screens keep the bijections doing so along each sigma's longest cycle
     walks = {(i, g[i], g[g[i]]) for g in letters.values() for i in range(6)}
+    screened = permutations(range(6))
+    for sigma in sigmas:
+        screen = itemgetter(*max(perm.cycles(sigma), key=len))
+        screened = [bimg for bimg in screened if screen(bimg) in walks]
     candidates = []
-    for bimg in permutations(range(6)):
-        if screen(bimg) not in walks:
-            continue
+    for bimg in screened:
         hits = []
         for sigma in sigmas:
             conj = [0] * 6
@@ -160,8 +161,8 @@ class Solver:
         # the A6 residuals in table order, and each one's place keyed by the
         # pieces an input holds in the abstract points' cells
         self._residuals = list(self.table6.entries)
-        piece_of = [i + 2 for i in piece_at].__getitem__
-        self._place = {tuple(map(piece_of, a)): i
+        pieces = [i + 2 for i in piece_at]
+        self._place = {itemgetter(*a)(pieces): i
                        for i, a in enumerate(self._residuals)}
         # the setup memo (see setup_phase), filled on use: mode ->
         # (admitted frames per blank cell, each pair's distance to a goal,

@@ -5,16 +5,16 @@ A table word is a tuple of signed 1-based generator indices: +k means
 the k-th generator, -k its inverse. Products are left-to-right (the
 first letter is applied first). BFS from the identity with the letter
 alphabet ordered +1, -1, +2, -2, ... yields, for every element, the
-lexicographically least word among the shortest ones: perm.bfs pairs a
-state's products with the letters in that order and keeps the first
-path found. The products of a state p are one gather per state,
-itemgetter(*p) over the letters' perms, as perm.compose(p, g) is.
+lexicographically least word among the shortest ones: the search takes
+a state's products in that order and keeps the first path found. It
+holds each state p as bytes, whose hash is computed once, and p's
+product with a letter g is p.translate over g's bytes, the gather
+perm.compose(p, g) is.
 """
 
 from collections import Counter
 from functools import reduce
 from itertools import combinations
-from operator import itemgetter
 
 from . import perm
 from .report import Check, Report
@@ -60,11 +60,19 @@ class WordTable:
 
 def build_table(gens) -> WordTable:
     table = WordTable(tuple(gens), {})
-    entries, images = table.entries, list(table.letters.values())
-    tree = perm.bfs([perm.identity(len(table.gens[0]))], table.letters,
-                    lambda p: map(itemgetter(*p), images))
-    for p, (prev, s) in tree.items():  # parents come before children
-        entries[p] = () if prev is None else entries[prev] + (s,)
+    # per letter: its one-letter word and the table translating i to g[i]
+    letters = [((s,), bytes(g).ljust(256, b"\0"))
+               for s, g in table.letters.items()]
+    queue = [bytes(perm.identity(len(table.gens[0])))]
+    found = {queue[0]: ()}
+    for p in queue:  # read while it grows
+        w = found[p]
+        for s, g in letters:
+            q = p.translate(g)
+            if q not in found:
+                found[q] = w + s
+                queue.append(q)
+    table.entries.update(zip(map(tuple, found), found.values()))
     return table
 
 

@@ -530,9 +530,9 @@ def test_cold_and_warm_solvers_agree(box_solver):
 
 @pytest.mark.parametrize("mode", solver.MODES)
 def test_solver_build_and_first_solves_take_few_products(mode):
-    # the word tables gather each state's products at once, so perm.compose
-    # is left to the A5 prefixes and the plans (80 calls, against 2,480
-    # with a product per Cayley-graph edge)
+    # the word tables take each product as one bytes translate, so
+    # perm.compose is left to the A5 prefixes and the plans (80 calls,
+    # against 2,480 with a product per Cayley-graph edge)
     compose = mock.Mock(wraps=perm.compose)
     c = box.unrank(box.N_REACHABLE // 2)
     with mock.patch.object(perm, "compose", compose):

@@ -30,6 +30,29 @@ def test_every_entry_recomposes(a5_table, a6_table):
             assert table.compose_word(table.entries[element]) == element
 
 
+def _bfs_tree_table(gens):
+    """The table read off perm.bfs's tree with perm.compose products, kept
+    as the reference for words.build_table."""
+    table = words.WordTable(tuple(gens), {})
+    images = list(table.letters.values())
+    tree = perm.bfs([perm.identity(len(table.gens[0]))], table.letters,
+                    lambda p: [perm.compose(p, g) for g in images])
+    for p, (prev, s) in tree.items():  # parents come before children
+        table.entries[p] = () if prev is None else table.entries[prev] + (s,)
+    return table
+
+
+@pytest.mark.parametrize("cycles,n", [
+    (words.A5_GENERATOR_CYCLES, 5), (words.A6_GENERATOR_CYCLES, 6),
+    (("(2,6,3)", "(3,5,1)", "(1,4,2)"), 6), (("(1,2)", "(1,2,3,4)"), 4)])
+def test_build_table_matches_the_bfs_tree(cycles, n):
+    # the same words in the same discovery order, on the two tables, a
+    # relabelling of the A6 generators and a generating set of S4
+    gens = [perm.parse_cycles(t, n) for t in cycles]
+    assert list(words.build_table(gens).entries.items()) == \
+        list(_bfs_tree_table(gens).entries.items())
+
+
 def test_generator_words_are_single_letters(a5_table):
     assert a5_table.entries[perm.parse_cycles("(1,2,3)", 5)] == (1,)
     assert a5_table.entries[perm.parse_cycles("(3,4,5)", 5)] == (2,)
