@@ -140,17 +140,16 @@ _AXIS_OF_MASK = {7 ^ (1 << k): m for m, k in box.AXIS_BIT.items()}
 def verify_center_words(table: DistanceTable, center_ranks) -> Report:
     """The center words against the computed center: with the identity
     they exhaust it, and their images are the solver's other center
-    targets (box.TARGET_FRAMES["center"]), keyed by their flip masks."""
+    targets (box.TARGET_FRAMES["center"]), keyed by their flip masks.
+    Exhaust also makes each word central (center keeps only ranks that
+    commute with R, U and B) and, with three distinct images, |Z| = 4."""
     images = {r.mask: r.target() for r in box.TARGET_FRAMES["center"]}
     rep = Report("center words")
-    rep.add("|Z|", 4, len(center_ranks))
     word_canons = set()
     for i, w in enumerate(CENTER_WORDS, start=1):
         z = table.walk(table.root, w)
         canon = box.unrank(z)
         word_canons.add(canon)
-        rep.add(f"word {i} central (commutes with R,U,B)", True,
-                all(table.commutes(z, m) for m in box.LETTERS))
         rep.add(f"word {i} order 2", box.SOLVED,
                 box.unrank(table.walk(z, w)))
         mask = box.blank_cell(canon) ^ 7
@@ -198,12 +197,8 @@ def verify_structure(table: DistanceTable, center_ranks, kernel) -> Report:
     rep = Report("group structure")
     root = table.root
 
-    # (a) K and <R> meet trivially
-    rep.add("(a) K intersect <R>", {box.SOLVED},
-            {box.unrank(r) for r in (root, table.walk(root, "R"))
-             if r in kernel})
-
-    # (b) the product set K<R> has order 5040
+    # (b) the product set K<R> has order 5040; this also shows (a), that
+    # K and <R> meet trivially, for were R in K then K<R> would be K
     mr, lr = table.move_rank["R"], table.left_rank["R"]
     kr_ranks = set(kernel) | set(map(mr.__getitem__, kernel))
     rep.add("(b) |K<R>|", 5040, len(kr_ranks))
@@ -238,12 +233,8 @@ def verify_structure(table: DistanceTable, center_ranks, kernel) -> Report:
                and all(table.commutes(r, gw) for gw in gen_words[1:])]
     rep.add("(e) center of K<R>", [box.SOLVED], central)
 
-    # (f) Z is a Klein four-group: (b) and (d) give |Z| = 4, so it is
-    # enough that every nontrivial element has order 2
-    rep.add("(f) every nontrivial center element has order 2", True,
-            all(table.walk(z, table.word_to(z)) == root
-                for z in center_ranks))
-
+    # (f), Z a Klein four-group, is the center words' report: they exhaust
+    # Z with the identity and each has order 2
     conclusion = "S7 x (Z2)^2" if rep.passed else "unresolved"
     rep.add("conclusion: G is the direct product of K<R> and Z",
             "S7 x (Z2)^2", conclusion)

@@ -47,7 +47,8 @@ def test_criterion_03_center(distance_table, center_elements):
     assert len(center_elements) == 4
     rep = groups.verify_center_words(distance_table, center_elements)
     assert rep.passed, [c.row() for c in rep.failures()]
-    print("criterion 3: |Z| = 4, order-2 elements, words and images verified")
+    print("criterion 3: |Z| = 4; the words have order 2, half-turn images "
+          "and with e exhaust the center")
 
 
 def test_criterion_04_kernel(distance_table):
@@ -63,7 +64,7 @@ def test_criterion_05_structure(distance_table, center_elements):
     elapsed = time.perf_counter() - t0
     assert rep.passed, [c.row() for c in rep.failures()]
     assert elapsed < 60.0, f"took {elapsed:.2f}s"
-    print(f"criterion 5: structure checks (a)-(f) all pass, {elapsed:.2f}s")
+    print(f"criterion 5: structure checks (b)-(e) all pass, {elapsed:.2f}s")
 
 
 def test_criterion_06_dihedral_pairs(distance_table):

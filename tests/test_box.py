@@ -321,21 +321,49 @@ def test_dihedral_relations_hold(distance_table):
         assert all(c.passed for c in checks), [c.row() for c in checks]
 
 
+# the letter pairs verify checks: cyclic, so each letter's involution is
+# checked once
+CYCLIC_PAIRS = (("R", "U"), ("U", "B"), ("B", "R"))
+
+
+def failed_dihedral_claims(table):
+    return {c.claim for x, y in CYCLIC_PAIRS
+            for c in box.dihedral_check(x, y, table) if not c.passed}
+
+
+def with_row(table, letter, row):
+    broken = copy.copy(table)
+    broken.move_rank = {**table.move_rank, letter: tuple(row)}
+    return broken
+
+
 @pytest.mark.parametrize("fault", ("swap", "duplicate", "U"))
 def test_dihedral_checks_catch_a_broken_row(distance_table, fault):
     # "swap" and "duplicate" break R's row; "U" swaps two entries of U's,
-    # which leaves R^2 = e standing
+    # which R^2 = e misses and the (U,B) pair's U^2 = e catches. The
+    # letter's involution fails, and so does (XY)^6 in both of its pairs
     letter = "U" if fault == "U" else "R"
-    broken = copy.copy(distance_table)
     row = list(distance_table.move_rank[letter])
     if fault == "duplicate":
         row[5] = row[12780]
     else:
         row[5], row[12780] = row[12780], row[5]
-    broken.move_rank = {**distance_table.move_rank, letter: tuple(row)}
-    passed = {c.claim: c.passed for c in box.dihedral_check("R", "U", broken)}
-    assert passed == {"R^2 = e": fault == "U", "(RU)^6 = e": False,
-                      "RU.R = R.(RU)^-1": False, "|<R,U>| = 12": True}
+    assert failed_dihedral_claims(with_row(distance_table, letter, row)) == {
+        f"{letter}^2 = e"} | {f"({x}{y})^6 = e" for x, y in CYCLIC_PAIRS
+                              if letter in (x, y)}
+
+
+def test_only_xy_sixth_power_catches_a_rewired_involution(distance_table):
+    # cells 5 and 900 swap partners in R's row: row[5] and row[900] trade
+    # images, and the row is still an involution, so R^2 = e passes and
+    # |<R,U>| counts tuple moves, not rows. (XY)^6 = e is the one check
+    # that reads R's row with another letter's, which is why it stays
+    row = list(distance_table.move_rank["R"])
+    a, b = row[5], row[900]
+    assert len({5, 900, a, b}) == 4
+    row[5], row[b], row[900], row[a] = b, 5, a, 900
+    assert failed_dihedral_claims(with_row(distance_table, "R", row)) == {
+        "(RU)^6 = e", "(BR)^6 = e"}
 
 
 def test_dihedral_check_needs_distinct_letters(distance_table):

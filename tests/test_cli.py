@@ -216,8 +216,8 @@ def test_unknown_command_exits_nonzero(capsys):
 # sha256 of `varikon verify` stdout, text and JSON. Sets in the report are
 # printed sorted, so the output is the same under any PYTHONHASHSEED.
 VERIFY_SHA256 = {
-    "text": "b91eaed8c5543bb22882923b973abc2081b522991c4b7b1c9292d98831d3a417",
-    "json": "9b2b6de9ed7c2f6ffe484d5a4db488143c9e7bf369838bc29ce4559919c2073c",
+    "text": "9c06e0d99e4c8219d6d2b0707054c583db5b9b078ab63191960740c031465f80",
+    "json": "e23ac4fddb0fed89444dab6770885e5d6b684014e7c2495d9bf8955113c24664",
 }
 
 

@@ -231,21 +231,48 @@ EXHAUST = "center words + identity exhaust the center"
 def test_exhaust_catches_a_center_without_a_word(distance_table,
                                                  center_elements, edit):
     # a center missing word 2's rank, alone or with RU (order 6) in its
-    # place, so that |Z| still reads 4, fails the exhaust check: no
-    # per-word "in the computed center" or per-element order check is
-    # needed, and structure's (f) fails on the order-6 element too
+    # place, fails the exhaust check: no per-word "in the computed center",
+    # |Z| or per-element order check is needed
     t = distance_table
     z = t.walk(t.root, groups.CENTER_WORDS[1])
     ranks = [r for r in center_elements if r != z]
     if edit == "swap":
         ranks.append(t.walk(t.root, "RU"))
     rep = groups.verify_center_words(t, ranks)
-    assert failed_claims(rep) == {EXHAUST} | ({"|Z|"} if edit == "drop"
-                                              else set())
+    assert failed_claims(rep) == {EXHAUST}
     if edit == "swap":
-        rep = groups.verify_structure(t, ranks, groups.subgroup_K())
-        assert ("(f) every nontrivial center element has order 2"
-                in failed_claims(rep))
+        # four elements, so structure's (d) passes: of the two reports
+        # verify runs on the center, exhaust alone reports this one
+        rep.checks += groups.verify_structure(t, ranks,
+                                              groups.subgroup_K()).checks
+        assert failed_claims(rep) == {EXHAUST}
+
+
+def test_exhaust_catches_a_word_that_fails_to_commute(distance_table):
+    # word 1's rank no longer commutes with U by left_rank, so center
+    # drops it: exhaust fails where a "word 1 central" check would
+    t = copy.copy(distance_table)
+    z = t.walk(t.root, groups.CENTER_WORDS[0])
+    t.left_rank = {m: list(row) for m, row in t.left_rank.items()}
+    t.left_rank["U"][z] = t.move_rank["U"][z] ^ 1
+    rep = groups.verify_center_words(t, groups.center(t))
+    assert failed_claims(rep) == {EXHAUST}
+
+
+def test_structure_catches_r_inside_the_kernel(distance_table,
+                                               center_elements):
+    # R's row sends the root into block 7 (K), two entries swapped so it
+    # stays a permutation: K and <R> meet in more than the identity, and
+    # K<R> reads 5039, not 5040
+    t, kernel = copy.copy(distance_table), groups.subgroup_K()
+    row = list(t.move_rank["R"])
+    k = next(r for r in kernel if r != t.root)
+    x = row[k]  # R's rows are involutions, so row[x] is k
+    row[t.root], row[x] = k, row[t.root]
+    t.move_rank = {**t.move_rank, "R": tuple(row)}
+    rep = groups.verify_structure(t, center_elements, kernel)
+    [chk] = [c for c in rep.failures() if c.claim == "(b) |K<R>|"]
+    assert chk.computed == 5039
 
 
 def test_a_center_word_of_order_six_fails_its_order_check(

@@ -161,6 +161,19 @@ def test_report_values():
     assert first.checks == [Check("claim", 1, 1)]
 
 
+def test_a5_report_catches_a_second_max_element(monkeypatch):
+    # one length-5 entry given a sixth letter: two elements at length 6,
+    # and "unique max element" fails with both listed
+    table = words.build_a5_table()
+    p = table.elements_of_length(5)[0]
+    table.entries[p] += (1,)
+    monkeypatch.setattr(words, "build_a5_table", lambda: table)
+    [chk] = words.a5_report().failures()
+    assert chk.claim == "unique max element"
+    assert chk.computed == sorted([words.A5_MAX_ELEMENT,
+                                   perm.format_cycles(p)])
+
+
 def test_reports():
     assert words.a5_report().passed
     rep = words.a6_report()

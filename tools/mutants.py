@@ -23,8 +23,10 @@ The seed draws `count` of the sites. With --since REV it draws only the
 sites on the src/varikon lines that `git diff -U0 REV` adds or changes
 (the working tree against REV as `git diff` sees it: edits not yet
 committed count, untracked files do not), at most `count` of them, so a
-change's own sites run in minutes; the record's "since" is REV (null
-without it). Each mutant changes one site in the
+change's own sites run in minutes; the record's "since" is REV resolved
+by `git rev-parse --verify REV^{commit}` to its commit hash, so a
+relative REV such as HEAD still names the tree once it moves on (null
+without --since). Each mutant changes one site in the
 copy and runs tier-1 with -x, criterion 8 deselected (it fails by
 design). A mutant is killed when the run fails or times out. Survivors
 are written with "class": null, to be classified by hand as equivalent,
@@ -140,6 +142,12 @@ def git(*args) -> str:
                           text=True, check=True).stdout
 
 
+def commit_of(rev: str) -> str:
+    """The full hash of the commit REV names; CalledProcessError if it
+    names none."""
+    return git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
+
+
 def git_tree() -> tuple:
     """(revision, dirty) of the checkout, or (None, None) without git."""
     try:
@@ -193,13 +201,16 @@ def main(argv=None) -> int:
                  for p in sorted((ROOT / PACKAGE).glob("*.py"))}
     sites = [s for name, text in originals.items()
              for s in sites_of(name, text)]
+    since = None
     if args.since is not None:
         try:
+            since = commit_of(args.since)
             touched = changed_lines(git("diff", "-U0", "--no-color",
-                                        "--no-prefix", args.since, "--",
+                                        "--no-prefix", since, "--",
                                         str(PACKAGE)))
         except (OSError, subprocess.CalledProcessError) as exc:
-            parser.error(f"git diff against {args.since!r} failed: {exc}")
+            parser.error(f"no commit to diff against for {args.since!r}: "
+                         f"{exc}")
         sites = [s for s in sites if int(s["site"].split(":")[1])
                  in touched.get(s["site"].split(":")[0], ())]
     chosen = sorted(random.Random(args.seed).sample(
@@ -244,7 +255,7 @@ def main(argv=None) -> int:
 
     record = {
         "seed": args.seed, "count": len(chosen), "sites": len(sites),
-        "since": args.since, "revision": revision, "dirty": dirty,
+        "since": since, "revision": revision, "dirty": dirty,
         "command": "python -m pytest -x -q -p no:cacheprovider --deselect "
                    + DESELECT,
         "control": control,
