@@ -44,10 +44,11 @@ def build_verify_reports() -> list[Report]:
     table = groups.build_distance_table()
     z = groups.center(table)
     kernel = groups.subgroup_K()
+    center_words = groups.verify_center_words(table, z)
     reports = [
-        groups.verify_center_words(table, z),
+        center_words,
         groups.verify_K_is_A7(kernel),
-        groups.verify_structure(table, z, kernel),
+        groups.verify_structure(table, z, kernel, center_words.passed),
         box.atoms_report(),
         fifteen.family_report(),
         words.a5_report(),

@@ -193,7 +193,8 @@ def verify_K_is_A7(kernel) -> Report:
 K_GENERATOR_CYCLES = ("(5,6,1)", "(5,6,2)", "(5,6,3)", "(5,6,4)", "(5,6,7)")
 
 
-def verify_structure(table: DistanceTable, center_ranks, kernel) -> Report:
+def verify_structure(table: DistanceTable, center_ranks, kernel,
+                     center_words_passed: bool) -> Report:
     rep = Report("group structure")
     root = table.root
 
@@ -233,9 +234,10 @@ def verify_structure(table: DistanceTable, center_ranks, kernel) -> Report:
                and all(table.commutes(r, gw) for gw in gen_words[1:])]
     rep.add("(e) center of K<R>", [box.SOLVED], central)
 
-    # (f), Z a Klein four-group, is the center words' report: they exhaust
-    # Z with the identity and each has order 2
-    conclusion = "S7 x (Z2)^2" if rep.passed else "unresolved"
+    # (f), Z a Klein four-group, is the center words' report, whose verdict
+    # is passed in: they exhaust Z with the identity and each has order 2
+    proved = rep.passed and center_words_passed
+    conclusion = "S7 x (Z2)^2" if proved else "unresolved"
     rep.add("conclusion: G is the direct product of K<R> and Z",
             "S7 x (Z2)^2", conclusion)
     return rep

@@ -49,51 +49,39 @@ def _atom_on_six(atom7: perm.Perm) -> perm.Perm:
     return tuple(atom7[i + 1] - 1 for i in range(6))
 
 
-def _relabel_candidates(letters: dict) -> list:
-    """(inverted matches, bijection, hits) for each of the 720 bijections
-    {pieces 2..7} -> {points 1..6} conjugating the three alternating-pair
-    cycles onto signed generators in letters ({+k: generator k, -k: its
-    inverse}, as words.WordTable.letters), hits naming the generator each
-    cycle goes to. Six bijections qualify for the A6 generators."""
+def relabel_map(letters: dict) -> Relabel:
+    """The bijection {pieces 2..7} -> {points 1..6} conjugating the three
+    alternating-pair cycles onto signed generators in letters ({+k:
+    generator k, -k: its inverse}, as words.WordTable.letters) with the
+    fewest inverted matches (then least image tuple), so the choice is
+    deterministic. Any two cycles share one piece and any two generators
+    one point, so sending cycle i to generator order[i] fixes the map: a
+    piece goes to the point moved by exactly the generators its cycles go
+    to. The six orders give every candidate."""
     signed = {p: s for s, p in letters.items()}
     atoms = box.three_cycle_atoms()
     sigmas = [_atom_on_six(atoms[pair]) for pair in _SUBPROBLEM_PAIRS]
-    # if b conjugates sigma onto g, then g(b(x)) = b(sigma(x)) for every
-    # point x, so b carries x, sigma(x), sigma^2(x) onto a walk of g: the
-    # screens keep the bijections doing so along each sigma's longest cycle
-    walks = {(i, g[i], g[g[i]]) for g in letters.values() for i in range(6)}
-    screened = permutations(range(6))
-    for sigma in sigmas:
-        screen = itemgetter(*max(perm.cycles(sigma), key=len))
-        screened = [bimg for bimg in screened if screen(bimg) in walks]
+    gens = [k for k in letters if k > 0]
+    point_of = {frozenset(k for k in gens if letters[k][y] != y): y
+                for y in range(6)}
     candidates = []
-    for bimg in screened:
-        hits = []
-        for sigma in sigmas:
-            conj = [0] * 6
-            for i in range(6):
-                conj[bimg[i]] = bimg[sigma[i]]
-            hit = signed.get(tuple(conj))
-            if hit is None or -hit in hits or hit in hits:
-                break
-            hits.append(hit)
-        else:
-            candidates.append((sum(hit < 0 for hit in hits), bimg, hits))
-    return candidates
-
-
-def relabel_map(letters: dict) -> Relabel:
-    """The relabel candidate with the fewest inverted matches (then least
-    image tuple), so the choice is deterministic."""
-    candidates = _relabel_candidates(letters)
+    for order in permutations(gens):
+        bimg = tuple(point_of.get(frozenset(
+            k for k, sigma in zip(order, sigmas) if sigma[x] != x))
+            for x in range(6))
+        if set(bimg) == set(range(6)):
+            binv = perm.inverse(bimg)
+            hits = [signed.get(perm.compose(perm.compose(binv, sigma), bimg))
+                    for sigma in sigmas]
+            if all(hit in (k, -k) for hit, k in zip(hits, order)):
+                candidates.append((sum(h < 0 for h in hits), bimg, hits))
     if not candidates:
         raise AssertionError("no bijection conjugates the pair cycles "
                              "onto the generators; move semantics broken")
     _, bimg, hits = min(candidates)
-    pair_for_gen = [None, None, None]
-    for (x, y), hit in zip(_SUBPROBLEM_PAIRS, hits):
-        pair_for_gen[abs(hit) - 1] = (y, x) if hit < 0 else (x, y)
-    return Relabel(bimg, tuple(pair_for_gen))
+    pair_of = {abs(hit): (y, x) if hit < 0 else (x, y)
+               for (x, y), hit in zip(_SUBPROBLEM_PAIRS, hits)}
+    return Relabel(bimg, tuple(pair_of[k] for k in gens))
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ class WordTable:
 
     def compose_word(self, word) -> perm.Perm:
         """Re-expand a signed-index word to the element it denotes."""
-        return reduce(perm.compose, (self.letters[s] for s in word),
-                      perm.identity(len(self.gens[0])))
+        return _product(map(self.letters.__getitem__, word),
+                        len(self.gens[0]))
 
     def csv_rows(self):
         rows = [("element", "length", "word")]

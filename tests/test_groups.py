@@ -225,6 +225,7 @@ def failed_claims(rep):
 
 
 EXHAUST = "center words + identity exhaust the center"
+CONCLUSION = "conclusion: G is the direct product of K<R> and Z"
 
 
 @pytest.mark.parametrize("edit", ["drop", "swap"])
@@ -241,11 +242,11 @@ def test_exhaust_catches_a_center_without_a_word(distance_table,
     rep = groups.verify_center_words(t, ranks)
     assert failed_claims(rep) == {EXHAUST}
     if edit == "swap":
-        # four elements, so structure's (d) passes: of the two reports
-        # verify runs on the center, exhaust alone reports this one
-        rep.checks += groups.verify_structure(t, ranks,
-                                              groups.subgroup_K()).checks
-        assert failed_claims(rep) == {EXHAUST}
+        # four elements, so structure's (d) passes; no structure check
+        # looks at Z's shape, so the conclusion reads exhaust's verdict
+        rep.checks += groups.verify_structure(t, ranks, groups.subgroup_K(),
+                                              rep.passed).checks
+        assert failed_claims(rep) == {EXHAUST, CONCLUSION}
 
 
 def test_exhaust_catches_a_word_that_fails_to_commute(distance_table):
@@ -270,7 +271,7 @@ def test_structure_catches_r_inside_the_kernel(distance_table,
     x = row[k]  # R's rows are involutions, so row[x] is k
     row[t.root], row[x] = k, row[t.root]
     t.move_rank = {**t.move_rank, "R": tuple(row)}
-    rep = groups.verify_structure(t, center_elements, kernel)
+    rep = groups.verify_structure(t, center_elements, kernel, True)
     [chk] = [c for c in rep.failures() if c.claim == "(b) |K<R>|"]
     assert chk.computed == 5039
 
@@ -360,7 +361,10 @@ def test_phi_factors_through_canon(distance_table):
 
 def test_structure_report(distance_table, center_elements):
     kernel = groups.subgroup_K()
-    rep = groups.verify_structure(distance_table, center_elements, kernel)
+    words_passed = groups.verify_center_words(distance_table,
+                                              center_elements).passed
+    rep = groups.verify_structure(distance_table, center_elements, kernel,
+                                  words_passed)
     assert rep.passed, [c.row() for c in rep.failures()]
 
 
@@ -371,7 +375,7 @@ def test_structure_report_catches_a_center_of_the_wrong_size(
     t = distance_table
     ranks = (center_elements[:3] if size == 3
              else center_elements + [t.walk(t.root, "RU")])
-    rep = groups.verify_structure(t, ranks, groups.subgroup_K())
+    rep = groups.verify_structure(t, ranks, groups.subgroup_K(), True)
     assert "(d) |K<R>| * |Z|" in failed_claims(rep)
     assert "(b) |K<R>|" not in failed_claims(rep)
 
@@ -381,7 +385,7 @@ def test_structure_report_fails_on_too_few_kernel_generators(
     # one 3-cycle generates neither A7 nor, with R, the group K<R>
     monkeypatch.setattr(groups, "K_GENERATOR_CYCLES", ("(5,6,1)",))
     rep = groups.verify_structure(distance_table, center_elements,
-                                  groups.subgroup_K())
+                                  groups.subgroup_K(), True)
     failed = {c.claim for c in rep.failures()}
     assert {"(e) named 3-cycles generate all even piece permutations",
             "(e) closure of R + the 3-cycles equals K<R>"} <= failed

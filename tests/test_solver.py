@@ -21,7 +21,7 @@ def test_relabeling_is_the_frozen_choice(a6_table):
 
 def _unscreened_relabel_candidates(letters):
     """The relabel search over all 720 bijections with no screen, kept as
-    the reference for solver._relabel_candidates."""
+    the reference for solver.relabel_map's six constructed candidates."""
     signed = {p: s for s, p in letters.items()}
     atoms = box.three_cycle_atoms()
     sigmas = [solver._atom_on_six(atoms[pair])
@@ -42,28 +42,50 @@ def _unscreened_relabel_candidates(letters):
     return candidates
 
 
-def test_relabel_screen_keeps_every_candidate(a6_table):
-    reference = _unscreened_relabel_candidates(a6_table.letters)
+def _reference_relabel(letters):
+    """The reference's least candidate as a Relabel; exactly six qualify."""
+    reference = _unscreened_relabel_candidates(letters)
     assert len(reference) == 6
-    assert solver._relabel_candidates(a6_table.letters) == reference
     _, bimg, hits = min(reference)
-    rel = solver.relabel_map(a6_table.letters)
-    assert rel.beta == bimg
+    assign = [None] * 3
     for (x, y), hit in zip(solver._SUBPROBLEM_PAIRS, hits):
-        assert rel.assign[abs(hit) - 1] == ((y, x) if hit < 0 else (x, y))
+        assign[abs(hit) - 1] = (y, x) if hit < 0 else (x, y)
+    return solver.Relabel(bimg, tuple(assign))
 
 
-@pytest.mark.parametrize("seed", range(4))
+def test_relabel_screen_keeps_every_candidate(a6_table):
+    assert solver.relabel_map(a6_table.letters) == \
+        _reference_relabel(a6_table.letters)
+
+
+@pytest.mark.parametrize("seed", range(24))
 def test_relabel_screen_on_relabelled_generators(seed):
     # conjugating the generators by a point bijection q moves the
-    # candidates elsewhere among the 720; the screen must keep them all
+    # candidates elsewhere among the 720; the six constructed ones must
+    # still hold the reference's choice
     q = tuple(random.Random(seed).sample(range(6), 6))
     gens = [perm.compose(perm.compose(perm.inverse(q), g), q)
             for g in A6_GENS]
     letters = words.WordTable(tuple(gens), {}).letters
-    reference = _unscreened_relabel_candidates(letters)
-    assert len(reference) == 6
-    assert solver._relabel_candidates(letters) == reference
+    assert solver.relabel_map(letters) == _reference_relabel(letters)
+
+
+def test_relabel_turns_away_an_atom_moving_piece_1(monkeypatch, a6_table):
+    atoms = box.three_cycle_atoms()
+    atoms["R", "B"] = perm.parse_cycles("(1,5,6)", 7)
+    monkeypatch.setattr(box, "three_cycle_atoms", lambda: atoms)
+    with pytest.raises(ValueError, match="alternating pair moved piece 1"):
+        solver.relabel_map(a6_table.letters)
+
+
+def test_relabel_faults_on_cycles_that_are_no_triangle(monkeypatch, a6_table):
+    # (5,6,7) and (5,6,4) share two pieces, and piece 3 lies on no cycle:
+    # no bijection conjugates them onto the A6 generators
+    atoms = box.three_cycle_atoms()
+    atoms["R", "U"] = perm.parse_cycles("(5,6,4)", 7)
+    monkeypatch.setattr(box, "three_cycle_atoms", lambda: atoms)
+    with pytest.raises(AssertionError, match="move semantics broken"):
+        solver.relabel_map(a6_table.letters)
 
 
 def test_expansion_pairs_realize_the_generators(box_solver, a6_table):
