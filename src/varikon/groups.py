@@ -20,7 +20,7 @@ from functools import partial, reduce
 from itertools import compress
 from operator import eq
 
-from . import box, perm
+from . import box, perm, words
 from .report import Report
 
 
@@ -216,7 +216,7 @@ def verify_structure(table: DistanceTable, center_ranks, kernel,
     # "A7 x Z2 or S7" to S7
     kgen_perms = [perm.parse_cycles(t, 8) for t in K_GENERATOR_CYCLES]
     rep.add("(e) named 3-cycles generate all even piece permutations",
-            2520, len(perm.generate([p[:7] for p in kgen_perms])))
+            2520, len(words.build_table([p[:7] for p in kgen_perms])))
 
     # generating elements of K<R>: the letter R plus one element per
     # named 3-cycle (cycle direction is irrelevant to generation and to

@@ -6,7 +6,6 @@ then b". Cycle notation at the I/O boundary is 1-indexed; everything
 internal is 0-indexed.
 """
 
-from functools import partial
 from itertools import permutations, product
 from operator import itemgetter
 
@@ -15,14 +14,6 @@ Perm = tuple[int, ...]
 
 def identity(n: int) -> Perm:
     return tuple(range(n))
-
-
-def validate(p: Perm) -> None:
-    n = len(p)
-    if n < 1:
-        raise ValueError("permutation must act on at least one point")
-    if sorted(p) != list(range(n)):
-        raise ValueError(f"not a bijection on 0..{n - 1}: {p}")
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -126,7 +117,9 @@ def orbit(roots, steps) -> set:
     """The states reachable from the roots, a frontier at a time: each of
     the steps (a sequence) maps an iterable of states to their images
     along one kind of edge, and the images not seen before are the next
-    frontier. For the reached set only; bfs keeps the tree."""
+    frontier. For the reached set only; bfs keeps the tree. It serves the
+    tuple orbits of box (enumerate_reachable, subgroup_order) and the
+    K<R> rank closure in groups.verify_structure."""
     seen = frontier = set(roots)
     while frontier:
         images = set()
@@ -137,28 +130,13 @@ def orbit(roots, steps) -> set:
     return seen
 
 
-def generate(gens) -> set:
-    """The subgroup that a non-empty generator set generates: the orbit of
-    the identity under left multiplication, g*p = itemgetter(*g)(p). On
-    one point, where that would give a bare item, the identity is all."""
-    gens = list(gens)
-    if not gens:
-        raise ValueError("empty generator set")
-    n = len(gens[0])
-    for g in gens:
-        if len(g) != n:
-            raise ValueError("generators act on different point counts")
-        validate(g)
-    steps = [partial(map, itemgetter(*g)) for g in gens if n > 1]
-    return orbit([identity(n)], steps)
-
-
 def all_even(n: int) -> set:
-    """All even permutations of n points, independent of generate(); used
-    to cross-check generated groups. The Lehmer codes, the digit tuples
-    of product(range(n), range(n - 1), ..., range(1)), come in the lex
-    order of permutations(), and a code's digit sum counts its
-    permutation's inversions, so the sum mod 2 is the parity."""
+    """All even permutations of n points, independent of the word tables'
+    search (words.build_table); used to cross-check generated groups. The
+    Lehmer codes, the digit tuples of product(range(n), range(n - 1), ...,
+    range(1)), come in the lex order of permutations(), and a code's digit
+    sum counts its permutation's inversions, so the sum mod 2 is the
+    parity."""
     codes = product(*map(range, range(n, 0, -1)))
     return {p for p, d in zip(permutations(range(n)), map(sum, codes))
             if not d % 2}

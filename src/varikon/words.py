@@ -110,12 +110,6 @@ def _product(ps, n: int) -> perm.Perm:
     return reduce(perm.compose, ps, perm.identity(n))
 
 
-def compose_factors(factors, n: int) -> perm.Perm:
-    """Left-to-right product; factors[::-1] gives the right-to-left one.
-    An exponent other than +1 or -1 raises ValueError."""
-    return _product(_factor_perms(factors, n), n)
-
-
 def _single_edit_repairs(ps, expected: perm.Perm, n: int) -> list:
     """Each single edit of the factor perms ps, one exponent flipped or two
     factors swapped, whose product is expected, named with the order it

@@ -297,8 +297,9 @@ def test_verify_builds_each_table_once(distance_table):
 
 def test_verify_does_no_per_element_permutation_work():
     # parity and compose are per-permutation Python calls: a verify pass
-    # reads parity off Lehmer codes and generates by C-level maps, so
-    # only the word tables' own products remain
+    # reads parity off Lehmer codes and closes generator sets with the
+    # word tables' bytes.translate search, so only the word tables' own
+    # products remain
     parity = mock.Mock(wraps=perm.parity)
     compose = mock.Mock(wraps=perm.compose)
     with mock.patch.object(perm, "parity", parity), \

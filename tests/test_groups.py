@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import varikon
-from varikon import box, groups, perm, solver
+from varikon import box, groups, perm, solver, words
 
 FROZEN_HISTOGRAM = [
     (0, 1), (1, 3), (2, 6), (3, 12), (4, 24), (5, 48), (6, 93), (7, 180),
@@ -378,6 +378,13 @@ def test_structure_report_catches_a_center_of_the_wrong_size(
     rep = groups.verify_structure(t, ranks, groups.subgroup_K(), True)
     assert "(d) |K<R>| * |Z|" in failed_claims(rep)
     assert "(b) |K<R>|" not in failed_claims(rep)
+
+
+def test_named_3_cycles_generate_exactly_the_even_piece_permutations():
+    # verify counts this closure; the set itself is checked here against
+    # the Lehmer-code route, as verify_structure builds the generators
+    gens = [perm.parse_cycles(t, 8)[:7] for t in groups.K_GENERATOR_CYCLES]
+    assert set(words.build_table(gens).entries) == perm.all_even(7)
 
 
 def test_structure_report_fails_on_too_few_kernel_generators(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from varikon import perm
+from varikon import perm, words
 
 perms5 = st.permutations(range(5)).map(tuple)
 perms8 = st.permutations(range(8)).map(tuple)
@@ -49,19 +49,6 @@ def test_compose_is_the_pointwise_product_on_s4():
     for a in s4:
         for b in s4:
             assert perm.compose(a, b) == tuple(b[x] for x in a)
-
-
-def test_validate_rejects_non_bijections():
-    for p in ((0, 0, 1), (0, 3, 1)):
-        with pytest.raises(ValueError) as err:
-            perm.validate(p)
-        assert str(err.value) == f"not a bijection on 0..2: {p}"
-
-
-def test_validate_needs_at_least_one_point():
-    perm.validate((0,))
-    with pytest.raises(ValueError, match="at least one point"):
-        perm.validate(())
 
 
 @given(perms5, perms5)
@@ -125,26 +112,19 @@ def test_parse_cycles_rejects_bad_text():
 
 
 def test_generate_small_groups():
-    a5 = perm.generate([perm.parse_cycles("(1,2,3)", 5),
-                        perm.parse_cycles("(3,4,5)", 5)])
+    a5 = words.build_table([perm.parse_cycles("(1,2,3)", 5),
+                            perm.parse_cycles("(3,4,5)", 5)]).entries
     assert len(a5) == 60
-    s3 = perm.generate([perm.parse_cycles("(1,2)", 3),
-                        perm.parse_cycles("(2,3)", 3)])
+    s3 = words.build_table([perm.parse_cycles("(1,2)", 3),
+                            perm.parse_cycles("(2,3)", 3)]).entries
     assert len(s3) == 6
-    single = perm.generate([perm.parse_cycles("(1,2,3)", 3)])
+    single = words.build_table([perm.parse_cycles("(1,2,3)", 3)]).entries
     assert len(single) == 3
-    assert perm.generate([(1, 0)]) == {(0, 1), (1, 0)}
-
-
-def test_generate_rejects_bad_input():
-    with pytest.raises(ValueError):
-        perm.generate([])
-    with pytest.raises(ValueError):
-        perm.generate([(0, 1), (0, 1, 2)])
+    assert set(words.build_table([(1, 0)]).entries) == {(0, 1), (1, 0)}
 
 
 def test_generate_on_one_point():
-    assert perm.generate([(0,)]) == {(0,)}
+    assert set(words.build_table([(0,)]).entries) == {(0,)}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -256,7 +236,7 @@ def test_orbit_of_the_a5_generators():
     reached = perm.orbit([perm.identity(5)], steps)
     assert reached == set(perm.bfs([perm.identity(5)], gens,
                                    _product_moves(gens)))
-    assert reached == perm.generate(gens) == perm.all_even(5)
+    assert reached == set(words.build_table(gens).entries) == perm.all_even(5)
 
 
 def test_orbit_without_steps_is_the_roots():

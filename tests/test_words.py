@@ -141,16 +141,19 @@ def test_a_factorization_with_no_single_edit_repair_says_none():
 
 
 def test_both_composition_conventions_of_the_a6_product():
-    l2r = words.compose_factors(words.A6_EXAMPLE_FACTORS, 6)
-    r2l = words.compose_factors(words.A6_EXAMPLE_FACTORS[::-1], 6)
-    assert perm.format_cycles(l2r) == "(2,3,6)"
-    assert perm.format_cycles(r2l) == "(2,6,4)"
+    chk = words.check_factorization("a6 product", words.A6_EXAMPLE_FACTORS,
+                                    words.A6_EXAMPLE_ELEMENT, 6)
+    assert chk.computed == "(2,3,6)"
+    assert chk.note.startswith("neither convention: left-to-right gives "
+                               "(2,3,6), right-to-left gives (2,6,4);")
 
 
 def test_compose_factors_takes_only_unit_exponents():
     for e in (0, 2):
         with pytest.raises(ValueError, match="not \\+1 or -1"):
-            words.compose_factors((("(1,2,3)", +1), ("(3,4,5)", e)), 6)
+            words.check_factorization(
+                "bad exponent", (("(1,2,3)", +1), ("(3,4,5)", e)),
+                "(1,2,3)", 6)
 
 
 def test_report_values():
